@@ -29,9 +29,10 @@ pick ``auto`` and let the planner decide from the graph's shape.
     traces; use them for tiny graphs, debugging and paper-table
     reproduction.
 ``matrix``
-    One dense numpy fixpoint over the whole node set.  The right choice for
-    a single well-connected component of up to a few thousand nodes -- the
-    dense products are BLAS-fast but cost O(n^2) memory regardless of
+    One dense numpy fixpoint over the whole node set: the shared fixpoint of
+    :mod:`repro.core.simrank_kernel` on its dense adapter.  The right choice
+    for a single well-connected component of up to a few thousand nodes --
+    the dense products are BLAS-fast but cost O(n^2) memory regardless of
     structure.
 ``sharded``
     Decomposes the click graph into connected components and runs a
@@ -45,7 +46,8 @@ pick ``auto`` and let the planner decide from the graph's shape.
     ``benchmarks/bench_sharded_backend.py`` gates the speedup (>= 2x over
     ``matrix`` on a 10-component graph).
 ``sparse``
-    The same Jacobi iteration on ``scipy.sparse`` CSR matrices, so each
+    The same Jacobi iteration -- the one in :mod:`repro.core.simrank_kernel`,
+    on its CSR adapter -- on ``scipy.sparse`` CSR matrices, so each
     iteration costs work proportional to the *nonzeros* of the score
     matrices instead of n^2 -- the right choice for huge sparse click graphs
     even when they are well connected.  Two pruning knobs on

@@ -8,11 +8,13 @@
   comparators (Jaccard, cosine).
 * :mod:`repro.core.complete_bipartite` -- closed-form scores on complete
   bipartite graphs (Theorems A.1-B.3), used as test oracles.
-* :class:`MatrixSimrank` / :class:`ShardedSimrank` / :class:`SparseSimrank`
-  -- the same SimRank fixpoints computed with dense linear algebra over the
-  whole graph, per connected component on block-diagonal structures, or on
-  pruned ``scipy.sparse`` CSR matrices whose cost tracks the nonzeros (the
-  fast backends for the huge-but-sparse click graphs of practice).
+* :class:`MatrixSimrank` / :class:`SparseSimrank` -- the same SimRank
+  fixpoints computed by one matrix iteration (:mod:`repro.core.simrank_kernel`)
+  on dense numpy arrays over the whole graph, or on pruned ``scipy.sparse``
+  CSR matrices whose cost tracks the nonzeros (the fast backends for the
+  huge-but-sparse click graphs of practice).
+* :class:`ShardedSimrank` -- either of them per connected component,
+  stitched block-diagonally.
 * :class:`QueryRewriter` -- the sponsored-search front-end that turns
   similarity scores into filtered, ranked query rewrites (Section 9.3).
 """

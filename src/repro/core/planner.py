@@ -38,6 +38,7 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 from repro.core.config import SimrankConfig
 from repro.core.parallel import pick_executor, resolve_worker_count
 from repro.core.similarity_base import QuerySimilarityMethod
+from repro.core.simrank_kernel import method_name
 from repro.core.simrank_matrix import MatrixSimrank
 from repro.core.simrank_sharded import ShardedSimrank
 from repro.core.simrank_sparse import SparseSimrank
@@ -71,7 +72,6 @@ DENSE_DENSITY_CEILING = 0.25
 #: one big shard plus crumbs, and the stitching overhead buys nothing.
 SINGLE_FIT_FRACTION = 0.95
 
-_MODES = ("simrank", "evidence", "weighted")
 _EXECUTORS = ("thread", "process", "auto")
 
 
@@ -340,8 +340,7 @@ class AutoSimrank(QuerySimilarityMethod):
         executor: str = "auto",
     ) -> None:
         super().__init__()
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        self.name = method_name(mode)
         if n_jobs == 0 or n_jobs < -1:
             raise ValueError(f"n_jobs must be a positive integer or -1, got {n_jobs}")
         if executor not in _EXECUTORS:
@@ -351,11 +350,6 @@ class AutoSimrank(QuerySimilarityMethod):
         self.min_score = min_score
         self.n_jobs = n_jobs
         self.executor = executor
-        self.name = {
-            "simrank": "simrank",
-            "evidence": "evidence_simrank",
-            "weighted": "weighted_simrank",
-        }[mode]
         #: The :class:`PlanReport` of the last successful fit (fit-only
         #: extra: cleared by :meth:`restore`, absent on snapshot loads).
         self.plan: Optional[PlanReport] = None

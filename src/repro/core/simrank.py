@@ -15,8 +15,9 @@ scores reproduce Tables 3 and 4.
 
 This is the *reference* implementation: it stores scores per node pair and
 restricts work to pairs inside the same connected component.  For larger
-graphs use :class:`repro.core.simrank_matrix.MatrixSimrank`, which computes
-the same fixpoint with dense linear algebra.
+graphs use the matrix fixpoint of :mod:`repro.core.simrank_kernel`, behind
+the dense :class:`~repro.core.simrank_matrix.MatrixSimrank` and the sparse
+:class:`~repro.core.simrank_sparse.SparseSimrank` backends.
 """
 
 from __future__ import annotations

@@ -54,6 +54,7 @@ from repro.core.config import SimrankConfig
 from repro.core.parallel import chunk_balanced, pick_executor, resolve_worker_count
 from repro.core.scores_array import ArraySimilarityScores
 from repro.core.similarity_base import QuerySimilarityMethod
+from repro.core.simrank_kernel import method_name
 from repro.core.simrank_matrix import MatrixSimrank
 from repro.core.simrank_sparse import SparseSimrank
 from repro.graph.click_graph import ClickGraph
@@ -62,8 +63,6 @@ from repro.graph.components import connected_components
 __all__ = ["ShardedSimrank"]
 
 Node = Hashable
-
-_MODES = ("simrank", "evidence", "weighted")
 
 _INNER_BACKENDS = ("matrix", "sparse", "auto")
 
@@ -89,8 +88,7 @@ class ShardedSimrank(QuerySimilarityMethod):
         executor: str = "auto",
     ) -> None:
         super().__init__()
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        self.name = method_name(mode)
         if n_jobs == 0 or n_jobs < -1:
             raise ValueError(f"n_jobs must be a positive integer or -1, got {n_jobs}")
         if inner_backend not in _INNER_BACKENDS:
@@ -111,13 +109,6 @@ class ShardedSimrank(QuerySimilarityMethod):
         #: Pool flavour for parallel shard fits; ``"auto"`` picks processes
         #: only when the estimated work amortises the fork/pickle overhead.
         self.executor = executor
-        # Report under the same name as the dense and reference engines so
-        # experiment tables stay comparable across backends.
-        self.name = {
-            "simrank": "simrank",
-            "evidence": "evidence_simrank",
-            "weighted": "weighted_simrank",
-        }[mode]
         #: Whether the last fit received a warm-start seed.
         self.warm_started: bool = False
         #: Shards of the last fit reused verbatim from the previous fit

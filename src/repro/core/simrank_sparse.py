@@ -1,62 +1,41 @@
 """Sparse pruned SimRank engine.
 
-Production click graphs are huge but extremely sparse, and similarity
-computation is in practice limited to a few iterations (the paper tabulates
-seven) over score matrices that stay mostly zero.  The dense engine
-(:class:`~repro.core.simrank_matrix.MatrixSimrank`) nevertheless allocates
-``O(n^2)`` numpy matrices and multiplies full blocks of structural zeros.
-
-:class:`SparseSimrank` runs the same Jacobi iteration on ``scipy.sparse`` CSR
-matrices built from :meth:`ClickGraph.to_sparse_matrix`, so every matrix
-product costs work proportional to the *nonzeros* -- which, in the paper's
-small-iteration regime, track the number of node pairs within a few hops of
-each other rather than ``n^2``.  Two sound pruning knobs bound fill-in:
+Production click graphs are huge but extremely sparse, and the paper's
+few-iteration regime keeps the score matrices mostly zero, yet the dense
+engine (:class:`~repro.core.simrank_matrix.MatrixSimrank`) multiplies full
+``O(n^2)`` blocks of structural zeros.  :class:`SparseSimrank` runs the same
+fixpoint (:mod:`repro.core.simrank_kernel`) on its CSR adapter, so every
+product costs work proportional to the *nonzeros*, which track the node
+pairs within a few hops of each other.  Two sound pruning knobs, defaulting
+from ``SimrankConfig.prune_threshold`` / ``prune_top_k``, bound fill-in:
 
 ``min_score`` (per-iteration epsilon truncation)
-    Entries below ``min_score`` are dropped after every iteration.  With the
-    default of 0 the computation is *exact* and agrees with the dense and
-    reference engines to machine precision (``tests/equivalence/`` enforces
-    1e-6).  A positive epsilon is a lossy but sound approximation: a dropped
-    entry can perturb downstream scores by at most
-    ``min_score * c / (1 - c)`` per endpoint, which the small-iteration
-    regime keeps far below serving-relevant score differences.
+    Entries below it are dropped after every iteration.  The default of 0 is
+    *exact*: it agrees with the dense and reference engines to machine
+    precision (``tests/equivalence/`` enforces 1e-6).  A positive epsilon is
+    lossy but sound: a dropped entry perturbs downstream scores by at most
+    ``min_score * c / (1 - c)`` per endpoint.
 
 ``top_k`` (per-row retention)
-    After truncation, keep only the ``top_k`` largest off-diagonal entries of
-    each row (an entry survives if either endpoint retains it, so the matrix
-    stays symmetric).  This caps memory at ``O(n * top_k)`` regardless of
-    fill-in; serving only ever reads the top few rewrites per query, so a
-    ``top_k`` comfortably above the rewrite depth is serving-exact.
-
-Both knobs default from :class:`~repro.core.config.SimrankConfig`
-(``prune_threshold`` / ``prune_top_k``) so they flow through
-:class:`~repro.api.config.EngineConfig` and the experiments CLI.  The final
-scores are served from an :class:`~repro.core.scores_array
-.ArraySimilarityScores` wrapping the last CSR matrix directly -- no
-dict-of-dicts materialization at all.
+    After truncation, keep the ``top_k`` largest off-diagonal entries of
+    each row (symmetrically).  This caps memory at ``O(n * top_k)``; serving
+    reads only the top few rewrites per query, so a ``top_k`` comfortably
+    above the rewrite depth is serving-exact.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, Optional
 
-import numpy as np
-from scipy import sparse
-
-from repro.core.config import EvidenceKind, SimrankConfig
-from repro.core.scores_array import ArraySimilarityScores
-from repro.core.similarity_base import QuerySimilarityMethod
-from repro.core.warm_start import seed_csr
-from repro.graph.click_graph import ClickGraph
+from repro.core.config import SimrankConfig
+from repro.core.simrank_kernel import CsrOps, KernelSimrank
 
 __all__ = ["SparseSimrank"]
 
 Node = Hashable
 
-_MODES = ("simrank", "evidence", "weighted")
 
-
-class SparseSimrank(QuerySimilarityMethod):
+class SparseSimrank(KernelSimrank):
     """SimRank family on sparse matrices with epsilon/top-k pruning."""
 
     def __init__(
@@ -66,30 +45,13 @@ class SparseSimrank(QuerySimilarityMethod):
         min_score: Optional[float] = None,
         top_k: Optional[int] = None,
     ) -> None:
+        """``mode`` is as in the dense engine; ``min_score`` (also the storage
+        threshold) and ``top_k`` are the pruning knobs above, ``None`` reading
+        ``config.prune_threshold`` / ``config.prune_top_k``; 0 turns either off.
         """
-        Parameters
-        ----------
-        config:
-            Shared SimRank parameters; its ``prune_threshold`` and
-            ``prune_top_k`` fields supply the pruning defaults.
-        mode:
-            ``"simrank"``, ``"evidence"`` or ``"weighted"`` -- same semantics
-            as the dense engine.
-        min_score:
-            Per-iteration truncation epsilon (and final storage threshold).
-            ``None`` reads ``config.prune_threshold``; 0 disables truncation
-            and makes the computation exact.
-        top_k:
-            Per-row retention cap.  ``None`` reads ``config.prune_top_k``;
-            0 keeps every entry.
-        """
-        super().__init__()
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        self.config = config or SimrankConfig()
-        self.mode = mode
-        self.min_score = (
-            self.config.prune_threshold if min_score is None else float(min_score)
+        config = config or SimrankConfig()
+        super().__init__(
+            config, mode, config.prune_threshold if min_score is None else float(min_score)
         )
         if not 0.0 <= self.min_score < 1.0:
             raise ValueError(f"min_score must be in [0, 1), got {self.min_score}")
@@ -97,128 +59,12 @@ class SparseSimrank(QuerySimilarityMethod):
         if chosen_top_k < 0:
             raise ValueError(f"top_k must be >= 0, got {chosen_top_k}")
         self.top_k = chosen_top_k or None
-        # Report under the same name as the corresponding reference method so
-        # experiment tables read like the paper's.
-        self.name = {
-            "simrank": "simrank",
-            "evidence": "evidence_simrank",
-            "weighted": "weighted_simrank",
-        }[mode]
-        #: Iterations actually executed by the last fit (early exit included).
-        self.iterations_run: Optional[int] = None
-        #: Whether the last fit started from a warm seed instead of identity.
-        self.warm_started: bool = False
-        self._query_index: List[Node] = []
-        self._ad_index: List[Node] = []
-        self._query_matrix: Optional[sparse.csr_matrix] = None
-        self._ad_scores: Optional[ArraySimilarityScores] = None
 
-    # -------------------------------------------------------------- fit path
+    def _ops(self) -> CsrOps:
+        return CsrOps(self.min_score, self.top_k)
 
-    def _compute_query_scores(self, graph: ClickGraph) -> ArraySimilarityScores:
-        self.warm_started = False
-        binary, self._query_index, self._ad_index = graph.to_sparse_matrix(binary=True)
-        n_q, n_a = binary.shape
-        if binary.nnz == 0:
-            self._query_matrix = sparse.csr_matrix((n_q, n_q))
-            self._ad_scores = ArraySimilarityScores(
-                sparse.csr_matrix((n_a, n_a)), self._ad_index
-            )
-            self.iterations_run = 0
-            return ArraySimilarityScores(self._query_matrix, self._query_index)
-
-        if self.mode == "weighted":
-            # Only the weighted walk reads edge weights; the other modes skip
-            # the second O(E) export entirely.
-            weights, _, _ = graph.to_sparse_matrix(source=self.config.weight_source)
-            p_query, p_ad = _weighted_transitions(binary, weights)
-        else:
-            p_query = _row_normalize(binary)
-            p_ad = _row_normalize(binary.T.tocsr())
-
-        floor = self.config.zero_evidence_floor
-        if self.mode == "simrank":
-            evidence_query = evidence_ad = None
-        else:
-            evidence_query = _evidence_offsets(binary, self.config.evidence, floor)
-            evidence_ad = _evidence_offsets(
-                binary.T.tocsr(), self.config.evidence, floor
-            )
-
-        seed = self._warm_start_scores
-        self.warm_started = seed is not None
-        if seed is not None:
-            # Warm start: seed the query side with the previous scores and
-            # derive the ad side by one application of the ad update -- the
-            # same half-step the dense engine takes, so both sides start
-            # near the fixpoint and the tolerance early exit can fire after
-            # a couple of polish iterations.
-            sim_query = seed_csr(seed, self._query_index)
-            sim_ad = (self.config.c2 * (p_ad @ sim_query @ p_ad.T)).tocsr()
-            if self.mode == "weighted":
-                sim_ad = _apply_evidence(sim_ad, evidence_ad, floor)
-            sim_ad = _with_unit_diagonal(sim_ad)
-            if self.min_score > 0.0:
-                sim_ad = _truncate(sim_ad, self.min_score)
-            if self.top_k is not None:
-                sim_ad = _retain_top_k(sim_ad, self.top_k)
-        else:
-            sim_query = sparse.identity(n_q, format="csr")
-            sim_ad = sparse.identity(n_a, format="csr")
-        self.iterations_run = 0
-        for _ in range(self.config.iterations):
-            new_query = (self.config.c1 * (p_query @ sim_ad @ p_query.T)).tocsr()
-            new_ad = (self.config.c2 * (p_ad @ sim_query @ p_ad.T)).tocsr()
-            if self.mode == "weighted":
-                new_query = _apply_evidence(new_query, evidence_query, floor)
-                new_ad = _apply_evidence(new_ad, evidence_ad, floor)
-            new_query = _with_unit_diagonal(new_query)
-            new_ad = _with_unit_diagonal(new_ad)
-            if self.min_score > 0.0:
-                new_query = _truncate(new_query, self.min_score)
-                new_ad = _truncate(new_ad, self.min_score)
-            if self.top_k is not None:
-                new_query = _retain_top_k(new_query, self.top_k)
-                new_ad = _retain_top_k(new_ad, self.top_k)
-            delta = 0.0
-            if self.config.tolerance > 0:
-                delta = max(_max_abs(new_query - sim_query), _max_abs(new_ad - sim_ad))
-            sim_query, sim_ad = new_query, new_ad
-            self.iterations_run += 1
-            if self.config.tolerance > 0 and delta < self.config.tolerance:
-                break
-
-        if self.mode == "evidence":
-            sim_query = _with_unit_diagonal(
-                _apply_evidence(sim_query, evidence_query, floor)
-            )
-            sim_ad = _with_unit_diagonal(_apply_evidence(sim_ad, evidence_ad, floor))
-
-        self._query_matrix = sim_query
-        self._ad_scores = ArraySimilarityScores.from_sparse(
-            sim_ad, self._ad_index, min_score=self.min_score
-        )
-        return ArraySimilarityScores.from_sparse(
-            sim_query, self._query_index, min_score=self.min_score
-        )
-
-    # ---------------------------------------------------------------- access
-
-    def restore(self, scores, graph=None) -> "SparseSimrank":
-        """Adopt precomputed query scores; matrices and indexes are fit-only.
-
-        Clearing them keeps a re-restored instance honest: the ad-side
-        accessors fail loudly instead of serving a previous fit's values
-        alongside the adopted query scores.
-        """
-        super().restore(scores, graph)
-        self.iterations_run = None
-        self.warm_started = False
-        self._query_index = []
-        self._ad_index = []
-        self._query_matrix = None
-        self._ad_scores = None
-        return self
+    def _ad_side(self, fit, ops):
+        return ops.store(fit.ad, fit.ad_index)
 
     def ad_similarity(self, first: Node, second: Node) -> float:
         """Similarity of two ads under the same fixpoint."""
@@ -226,143 +72,3 @@ class SparseSimrank(QuerySimilarityMethod):
         return self._require_fit_extra(self._ad_scores, "ad-side scores").score(
             first, second
         )
-
-    def query_matrix(self) -> Tuple[sparse.csr_matrix, List[Node]]:
-        """The raw sparse query-query similarity matrix and its index.
-
-        Unlike the dense engine's index, this one covers *every* query node
-        (isolated queries simply own an empty row).
-        """
-        self._require_fitted()
-        matrix = self._require_fit_extra(self._query_matrix, "raw query matrix")
-        return matrix, list(self._query_index)
-
-
-# ---------------------------------------------------------------- internals
-
-
-def _row_normalize(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Divide each row by its sum (rows that sum to zero stay zero)."""
-    sums = np.asarray(matrix.sum(axis=1)).ravel()
-    inverse = np.where(sums > 0, 1.0 / np.where(sums > 0, sums, 1.0), 0.0)
-    return (sparse.diags(inverse) @ matrix).tocsr()
-
-
-def _weighted_transitions(
-    binary: sparse.csr_matrix, weights: sparse.csr_matrix
-) -> Tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """The ``W(q, a)`` and ``W(a, q)`` factor matrices of weighted SimRank."""
-    ad_spread = _spread_vector(weights.T.tocsr())  # one value per ad (column)
-    query_spread = _spread_vector(weights)  # one value per query (row)
-
-    row_sums = np.asarray(weights.sum(axis=1)).ravel()
-    inverse_rows = np.where(row_sums > 0, 1.0 / np.where(row_sums > 0, row_sums, 1.0), 0.0)
-    p_query = (sparse.diags(inverse_rows) @ weights @ sparse.diags(ad_spread)).tocsr()
-
-    col_sums = np.asarray(weights.sum(axis=0)).ravel()
-    inverse_cols = np.where(col_sums > 0, 1.0 / np.where(col_sums > 0, col_sums, 1.0), 0.0)
-    p_ad = (
-        (sparse.diags(query_spread) @ weights @ sparse.diags(inverse_cols)).T
-    ).tocsr()
-    return p_query, p_ad
-
-
-def _spread_vector(matrix: sparse.csr_matrix) -> np.ndarray:
-    """``exp(-variance)`` of the non-zero weights of each row.
-
-    Mirrors the dense engine's ``_spread_vector``: population variance of the
-    weights of incident edges only (stored zeros are absent observations),
-    computed from exact per-entry deviations so the two engines agree to
-    machine precision.
-    """
-    n = matrix.shape[0]
-    data = matrix.data
-    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
-    mask = data != 0
-    counts = np.bincount(rows[mask], minlength=n)
-    safe_counts = np.where(counts > 0, counts, 1)
-    sums = np.bincount(rows[mask], weights=data[mask], minlength=n)
-    means = sums / safe_counts
-    deviations = np.where(mask, data - means[rows], 0.0)
-    variances = np.bincount(rows, weights=deviations ** 2, minlength=n) / safe_counts
-    spreads = np.exp(-variances)
-    return np.where(counts > 0, spreads, 1.0)
-
-
-def _evidence_offsets(
-    binary: sparse.csr_matrix, kind: EvidenceKind, floor: float
-) -> sparse.csr_matrix:
-    """Sparse evidence factors, stored as offsets above the zero-evidence floor.
-
-    The full (dense) evidence matrix is ``floor`` wherever two rows share no
-    column and ``evidence(common)`` elsewhere, so it decomposes as
-    ``floor + offsets`` with ``offsets`` sparse on the common-neighbour
-    pattern.  Multiplying a sparse score matrix ``S`` elementwise by the full
-    evidence matrix is then ``floor * S + S ⊙ offsets`` -- no dense
-    materialization.  (Diagonals are irrelevant: callers reset them to 1.)
-    """
-    common = (binary @ binary.T).tocsr()
-    if kind is EvidenceKind.GEOMETRIC:
-        factors = 1.0 - np.power(0.5, common.data)
-    elif kind is EvidenceKind.EXPONENTIAL:
-        factors = 1.0 - np.exp(-common.data)
-    else:
-        raise ValueError(f"unknown evidence kind: {kind!r}")
-    offsets = common.copy()
-    offsets.data = factors - floor
-    return offsets
-
-
-def _apply_evidence(
-    scores: sparse.csr_matrix, offsets: sparse.csr_matrix, floor: float
-) -> sparse.csr_matrix:
-    """Elementwise product of sparse scores with the implicit evidence matrix."""
-    scaled = scores.multiply(offsets).tocsr()
-    if floor:
-        scaled = (scaled + floor * scores).tocsr()
-    return scaled
-
-
-def _with_unit_diagonal(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Copy of the matrix with its diagonal overwritten to 1."""
-    diagonal = matrix.diagonal()
-    if np.any(diagonal):
-        matrix = matrix - sparse.diags(diagonal)
-    return (matrix + sparse.identity(matrix.shape[0])).tocsr()
-
-
-def _truncate(matrix: sparse.csr_matrix, epsilon: float) -> sparse.csr_matrix:
-    """Drop entries below ``epsilon`` (the unit diagonal always survives)."""
-    matrix.data[matrix.data < epsilon] = 0.0
-    matrix.eliminate_zeros()
-    return matrix
-
-
-def _retain_top_k(matrix: sparse.csr_matrix, k: int) -> sparse.csr_matrix:
-    """Keep the ``k`` largest off-diagonal entries of each row, symmetrized.
-
-    The diagonal (the implicit self-score) is always kept and does not count
-    against ``k``.  Symmetry is restored by keeping an entry when *either*
-    endpoint retains it, so pruning never makes the matrix asymmetric.
-    """
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    keep = np.ones(data.size, dtype=bool)
-    for i in range(matrix.shape[0]):
-        start, end = indptr[i], indptr[i + 1]
-        off_diagonal = np.nonzero(indices[start:end] != i)[0]
-        if off_diagonal.size <= k:
-            continue
-        row_values = data[start:end][off_diagonal]
-        dropped = np.argpartition(row_values, row_values.size - k)[: row_values.size - k]
-        keep[start + off_diagonal[dropped]] = False
-    if keep.all():
-        return matrix
-    pruned = matrix.copy()
-    pruned.data[~keep] = 0.0
-    pruned.eliminate_zeros()
-    return pruned.maximum(pruned.T).tocsr()
-
-
-def _max_abs(matrix: "sparse.spmatrix") -> float:
-    difference = abs(matrix)
-    return float(difference.max()) if difference.nnz else 0.0

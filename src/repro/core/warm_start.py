@@ -13,10 +13,10 @@ from scratch.
 These helpers turn a previous score store -- array-backed
 (:class:`~repro.core.scores_array.ArraySimilarityScores`) or dict-backed
 (:class:`~repro.core.scores.SimilarityScores`), e.g. one revived from an
-engine snapshot -- into the backend's native seed structure over the *new*
-fit's node index.  Nodes absent from the previous scores start at the
-identity (new queries know nothing yet); previous nodes absent from the new
-index are dropped.
+engine snapshot -- into a seed over the *new* fit's node index (a CSR matrix
+for :mod:`repro.core.simrank_kernel`, a per-pair dict for the reference
+engines).  Nodes absent from the previous scores start at the identity;
+previous nodes absent from the new index are dropped.
 
 Only the query side is ever seeded: snapshots persist nothing else, and the
 ad side does not need it -- each backend derives its ad-side seed by one
@@ -34,7 +34,7 @@ from typing import Dict, Hashable, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-__all__ = ["seed_dense", "seed_csr", "seed_pair_scores"]
+__all__ = ["seed_csr", "seed_pair_scores"]
 
 Node = Hashable
 Pair = Tuple[Node, Node]
@@ -74,16 +74,6 @@ def _seed_triplets(initial_scores, position: Dict[Node, int]):
         np.asarray(columns, dtype=np.int64),
         np.asarray(data, dtype=float),
     )
-
-
-def seed_dense(initial_scores, index: Sequence[Node]) -> np.ndarray:
-    """Dense similarity seed over ``index`` (unit diagonal, prior off-diagonals)."""
-    position = {node: i for i, node in enumerate(index)}
-    rows, columns, data = _seed_triplets(initial_scores, position)
-    seed = np.zeros((len(index), len(index)))
-    seed[rows, columns] = data
-    np.fill_diagonal(seed, 1.0)
-    return seed
 
 
 def seed_csr(initial_scores, index: Sequence[Node]) -> sparse.csr_matrix:

@@ -274,6 +274,18 @@ _REASONS = {
 }
 
 
+#: Route table: (method, path) -> handler method name.
+_ROUTES = {
+    ("POST", "/rewrite"): "_handle_rewrite",
+    ("POST", "/rewrite_batch"): "_handle_rewrite_batch",
+    ("POST", "/refresh"): "_handle_refresh",
+    ("POST", "/reload"): "_handle_reload",
+    ("GET", "/healthz"): "_handle_healthz",
+    ("GET", "/stats"): "_handle_stats",
+}
+_ROUTE_PATHS = frozenset(path for _, path in _ROUTES)
+
+
 @dataclass
 class _Request:
     method: str
@@ -619,21 +631,27 @@ class RewriteServer:
                 await writer.wait_closed()
 
     async def _read_request(self, reader: asyncio.StreamReader) -> Optional[_Request]:
-        line = await reader.readline()
-        if not line:
-            return None
         try:
-            method, path, _ = line.decode("latin-1").split()
-        except ValueError:
-            raise _HttpError(400, "malformed request line") from None
-        headers: Dict[str, str] = {}
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+            line = await reader.readline()
+            if not line:
+                return None
+            try:
+                method, path, _ = line.decode("latin-1").split()
+            except ValueError:
+                raise _HttpError(400, "malformed request line") from None
+            headers: Dict[str, str] = {}
+            while True:
+                header = await reader.readline()
+                if header in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = header.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:  # readline: a line over the stream reader's limit
+            raise _HttpError(400, "request line or header too long") from None
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _HttpError(400, f"malformed Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > self._config.max_request_bytes:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
@@ -641,9 +659,10 @@ class RewriteServer:
 
     async def _respond(self, request: _Request) -> Tuple[int, Dict[str, Any]]:
         self._counters.requests += 1
-        self._counters.endpoints[request.path] = (
-            self._counters.endpoints.get(request.path, 0) + 1
-        )
+        # Keyed by route, never by the raw client path, so random paths
+        # cannot grow the counter (or the /stats payload) without bound.
+        endpoint = request.path if request.path in _ROUTE_PATHS else "other"
+        self._counters.endpoints[endpoint] = self._counters.endpoints.get(endpoint, 0) + 1
         assert self._loop is not None
         started = self._loop.time()
         try:
@@ -660,21 +679,12 @@ class RewriteServer:
 
     async def _route(self, request: _Request) -> Dict[str, Any]:
         faults.fire("serving.request")
-        handlers = {
-            ("POST", "/rewrite"): self._handle_rewrite,
-            ("POST", "/rewrite_batch"): self._handle_rewrite_batch,
-            ("POST", "/refresh"): self._handle_refresh,
-            ("POST", "/reload"): self._handle_reload,
-            ("GET", "/healthz"): self._handle_healthz,
-            ("GET", "/stats"): self._handle_stats,
-        }
-        handler = handlers.get((request.method, request.path))
+        handler = _ROUTES.get((request.method, request.path))
         if handler is None:
-            known_paths = {path for _, path in handlers}
-            if request.path in known_paths:
+            if request.path in _ROUTE_PATHS:
                 raise _HttpError(405, f"method {request.method} not allowed")
             raise _HttpError(404, f"unknown endpoint {request.path}")
-        return await handler(request)
+        return await getattr(self, handler)(request)
 
     # -------------------------------------------------------------- endpoints
 

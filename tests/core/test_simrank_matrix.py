@@ -6,6 +6,7 @@ from repro.core.config import SimrankConfig
 from repro.core.evidence_simrank import EvidenceSimrank
 from repro.core.simrank import BipartiteSimrank
 from repro.core.simrank_matrix import MatrixSimrank
+from repro.core.simrank_sparse import SparseSimrank
 from repro.core.weighted_simrank import WeightedSimrank
 from repro.graph.click_graph import ClickGraph
 
@@ -119,35 +120,62 @@ class TestToleranceEarlyExit:
 
 
 class TestEvidenceMatrixHoisting:
-    """The evidence factors depend only on the graph: one computation per fit."""
+    """The evidence factors depend only on the graph: one computation per fit.
+
+    Both adapters of the shared fixpoint build them through the kernel's one
+    evidence builder, so the count is checked for the dense and the CSR one.
+    """
 
     @pytest.fixture
     def evidence_call_counter(self, monkeypatch):
-        import repro.core.simrank_matrix as module
+        import repro.core.simrank_kernel as module
 
         calls = []
-        original = module._evidence_matrix
+        original = module._evidence_factors
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "_evidence_matrix", counting)
+        monkeypatch.setattr(module, "_evidence_factors", counting)
         return calls
 
+    @pytest.mark.parametrize("engine", [MatrixSimrank, SparseSimrank])
     @pytest.mark.parametrize("mode", ["weighted", "evidence"])
     def test_computed_once_per_side_not_per_iteration(
-        self, fig3_graph, evidence_call_counter, mode
+        self, fig3_graph, evidence_call_counter, mode, engine
     ):
         config = SimrankConfig(iterations=6, zero_evidence_floor=0.1)
-        MatrixSimrank(config, mode=mode).fit(fig3_graph)
+        engine(config, mode=mode).fit(fig3_graph)
         assert len(evidence_call_counter) == 2  # query side + ad side
 
+    @pytest.mark.parametrize("engine", [MatrixSimrank, SparseSimrank])
     def test_plain_simrank_never_computes_evidence(
-        self, fig3_graph, paper_config, evidence_call_counter
+        self, fig3_graph, paper_config, evidence_call_counter, engine
     ):
-        MatrixSimrank(paper_config, mode="simrank").fit(fig3_graph)
+        engine(paper_config, mode="simrank").fit(fig3_graph)
         assert evidence_call_counter == []
+
+
+class TestAdaptersShareTheLoop:
+    """Exact dense and exact CSR fits run the one loop to the same exit."""
+
+    @pytest.mark.parametrize("mode", ["simrank", "evidence", "weighted"])
+    def test_same_iterations_under_tolerance_early_exit(self, mode):
+        from repro.synth.scenarios import multi_component_graph
+
+        graph = multi_component_graph(
+            num_components=3, queries_per_component=5, ads_per_component=4,
+            extra_edges=4, seed=23,
+        )
+        config = SimrankConfig(
+            c1=0.6, c2=0.6, iterations=60, tolerance=1e-6, zero_evidence_floor=0.1
+        )
+        dense = MatrixSimrank(config, mode=mode, min_score=0).fit(graph)
+        exact_csr = SparseSimrank(config, mode=mode, min_score=0, top_k=0).fit(graph)
+        assert dense.iterations_run < config.iterations
+        assert dense.iterations_run == exact_csr.iterations_run
+        assert dense.similarities().max_difference(exact_csr.similarities()) < 1e-12
 
 
 class TestIsolatedNodeSkipping:

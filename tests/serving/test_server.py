@@ -170,6 +170,23 @@ class TestEndpoints:
         assert stats["latency_ms"]["count"] == 3
 
 
+class TestStatsCardinality:
+    def test_unknown_paths_share_one_counter(self, engine):
+        async def scenario():
+            async with RewriteServer(EngineHolder(engine)) as server:
+                host, port = server.address
+                for i in range(300):
+                    await request_once(host, port, "GET", f"/random-{i}")
+                return await request_once(host, port, "GET", "/stats")
+
+        status, stats = run(scenario())
+        assert status == 200
+        by_endpoint = stats["requests"]["by_endpoint"]
+        assert len(by_endpoint) <= 6 + 1  # the route table's paths + "other"
+        assert by_endpoint["other"] == 300
+        assert stats["requests"]["by_status"]["404"] == 300
+
+
 class TestErrors:
     def test_unknown_endpoint_404(self, engine):
         async def scenario():
@@ -232,6 +249,44 @@ class TestErrors:
         assert s1 == 200 and first["version"] == 2
         assert s2 == 400  # the same removal again no longer matches the graph
         assert s3 == 200 and health["version"] == 2  # nothing was published
+
+
+async def raw_exchange(address, request: bytes):
+    """Send raw bytes on a fresh connection; the response, read to EOF."""
+    reader, writer = await asyncio.open_connection(*address)
+    writer.write(request)
+    await writer.drain()
+    # EOF within the timeout proves the server closed the connection.
+    response = await asyncio.wait_for(reader.read(), timeout=10)
+    writer.close()
+    return response
+
+
+class TestMalformedFraming:
+    """Framing errors answer 400 and close; the server keeps serving."""
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /rewrite HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"POST /rewrite HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Padding: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=["content-length-abc", "content-length-negative", "long-header", "long-line"],
+    )
+    def test_400_then_next_connection_served(self, engine, request_bytes):
+        async def scenario():
+            async with RewriteServer(EngineHolder(engine)) as server:
+                response = await raw_exchange(server.address, request_bytes)
+                health = await request_once(*server.address, "GET", "/healthz")
+                return response, health
+
+        response, (status, health) = run(scenario())
+        head = response.split(b"\r\n\r\n", 1)[0].decode("latin-1")
+        assert head.startswith("HTTP/1.1 400 ")
+        assert "Connection: close" in head
+        assert status == 200 and health["fitted"] is True
 
 
 class TestShutdown:

@@ -45,9 +45,22 @@ point lookups (see :mod:`repro.store`);
 :func:`~repro.api.sources.resolve_engine_source` is the one front door
 over store / snapshot / fresh-fit engine construction.
 
-The pre-registry entry point ``create_method(name, config, backend)`` still
-works as a deprecation shim (removal planned for version 2.0); see
-CHANGES.md for the migration note.
+Migrating to 2.0
+----------------
+
+2.0 removes the pieces that 1.x deprecated, and ships one score container:
+
+* ``SimilarityScores()`` plus ``.set(a, b, value)`` ->
+  ``ArraySimilarityScores.from_pairs({(a, b): value, ...})``.  Every
+  method's ``similarities()`` returns an
+  :class:`~repro.core.scores_array.ArraySimilarityScores` with the same
+  read interface (``score``, ``top``, ``neighbors``, ``pairs`` ...).
+* ``create_method(name, config, backend)`` ->
+  :func:`repro.api.registry.create` (same arguments).
+* ``load_engine_with_fallback(path)`` ->
+  :func:`repro.api.sources.resolve_engine_source` with ``snapshot=path``
+  (or ``store=path`` for a serving-store file); the returned
+  ``ResolvedEngine`` carries ``.engine`` and the loaded ``.origin``.
 """
 
 from repro.api import (
@@ -67,11 +80,9 @@ from repro.core import (
     QueryRewriter,
     ShardedSimrank,
     SparseSimrank,
-    SimilarityScores,
     ArraySimilarityScores,
     SimrankConfig,
     WeightedSimrank,
-    create_method,
 )
 from repro.eval import EditorialJudge, ExperimentHarness
 from repro.serving import EngineHolder, RewriteServer, ServerConfig
@@ -92,7 +103,7 @@ from repro.store import (
 )
 from repro.synth import generate_workload, yahoo_like_workload
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "EngineConfig",
@@ -114,11 +125,9 @@ __all__ = [
     "QueryRewriter",
     "ShardedSimrank",
     "SparseSimrank",
-    "SimilarityScores",
     "ArraySimilarityScores",
     "SimrankConfig",
     "WeightedSimrank",
-    "create_method",
     "EditorialJudge",
     "ExperimentHarness",
     "EngineHolder",

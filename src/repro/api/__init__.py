@@ -88,10 +88,9 @@ default -- processes only when the estimated work amortises the fork/pickle
 overhead).  ``benchmarks/bench_backend_auto.py`` gates ``n_jobs=4`` process
 fitting at >= 2.5x a single-core fit on a many-component graph.
 
-All backends serve scores through the array-backed
-:class:`~repro.core.scores_array.ArraySimilarityScores` store, which wraps
-the final score matrix directly instead of materializing millions of dict
-entries.
+Every method and backend serves scores through one container,
+:class:`~repro.core.scores_array.ArraySimilarityScores`, which wraps the
+final score matrix directly.
 
 Snapshots and the serving cache
 -------------------------------
@@ -101,8 +100,7 @@ writes a versioned snapshot (the CSR score store via
 ``scipy.sparse.save_npz`` plus a JSON manifest with the ``EngineConfig``,
 bid terms and fit metadata), and ``RewriteEngine.load(path)`` revives a
 servable engine *without refitting* -- identical rewrite lists, for every
-backend (the dict-backed ``reference`` store converts through
-``SimilarityScores.to_array`` / ``from_array``).
+backend.
 :class:`~repro.api.snapshot.EngineSnapshotStore` manages named snapshots
 under one directory, the eval harness and ``simrankpp-experiments``
 (``--save-engine`` / ``--load-engine``) wire it end to end, and

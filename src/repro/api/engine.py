@@ -718,11 +718,7 @@ class RewriteEngine:
 
     def _score_store_queries(self) -> List[Node]:
         """Every query the fitted score store knows about (snapshot serving)."""
-        scores = self.method.similarities()
-        index = getattr(scores, "index", None)
-        if index is not None:
-            return list(index)
-        return list(scores.nodes())
+        return self.method.similarities().index
 
     def _serving_universe(self) -> List[Node]:
         """Every query serving must answer, in deterministic (repr) order.

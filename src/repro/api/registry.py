@@ -2,9 +2,8 @@
 
 The evaluation harness, the CLI and the :class:`~repro.api.engine.RewriteEngine`
 refer to similarity methods by name; this module maps those names to factories.
-Unlike the old ``if``-chain factory (``repro.core.registry.create_method``,
-now a deprecation shim over this module), the registry is open: downstream
-code -- and tests -- can plug in custom methods without editing core::
+The registry is open: downstream code -- and tests -- can plug in custom
+methods without editing core::
 
     @register_method("my_method", backends=("matrix",))
     def build_my_method(config: SimrankConfig, backend: str) -> QuerySimilarityMethod:

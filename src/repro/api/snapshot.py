@@ -16,13 +16,10 @@ Snapshot layout (one directory)::
         query_scores.npz   the symmetric CSR similarity matrix
                            (scipy.sparse.save_npz)
 
-All backends snapshot through the same format: ``matrix``, ``sharded`` and
-``sparse`` already serve from an array-backed store
-(:class:`~repro.core.scores_array.ArraySimilarityScores`); the dict-backed
-``reference`` store is converted through
-:meth:`~repro.core.scores.SimilarityScores.to_array` on save and restored
-with :meth:`~repro.core.scores.SimilarityScores.from_array` on load, so the
-revived method serves the exact store flavour it was fitted with.
+Every method serves from the same score store
+(:class:`~repro.core.scores_array.ArraySimilarityScores`), so every backend
+snapshots through the same format: the store's matrix and index are written
+as they are and revived as they were.
 
 Node identifiers must round-trip exactly through JSON (``str``, ``int``,
 ``float`` or ``bool``); anything else -- a tuple node, say -- raises
@@ -46,8 +43,8 @@ from scipy import sparse
 from repro.api.config import EngineConfig
 from repro.api.staging import staged_write
 from repro.core import faults
-from repro.core.scores import SimilarityScores
 from repro.core.scores_array import ArraySimilarityScores
+from repro.core.simrank_kernel import KernelSimrank
 
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
@@ -143,11 +140,7 @@ def write_snapshot(engine, path: PathLike) -> Path:
         raise SnapshotError(
             "cannot snapshot an unfitted engine; call .fit(graph) first"
         )
-    scores = engine.method.similarities()
-    if isinstance(scores, ArraySimilarityScores):
-        array, store_kind = scores, "array"
-    else:
-        array, store_kind = scores.to_array(), "dict"
+    array = engine.method.similarities()
     index = array.index
     # The fitted graph's full query set (isolated queries included) lets a
     # loaded engine's precompute() warm exactly what the fitted one would; a
@@ -188,7 +181,6 @@ def write_snapshot(engine, path: PathLike) -> Path:
         "query_universe": universe,
         "fit": {
             "method": engine.config.method,
-            "store": store_kind,
             "iterations_run": _iterations_run(engine),
             "num_queries": len(index),
             "stored_pairs": len(array),
@@ -303,12 +295,9 @@ def read_snapshot(path: PathLike, engine_cls=None):
         raise SnapshotError(
             f"snapshot at {path} is internally inconsistent: {error}"
         ) from error
+    # Snapshots written before 2.0 also carry a "store" fit field ("array"
+    # or "dict"); both describe this same matrix, so the field is ignored.
     fit_metadata = manifest.get("fit", {})
-    scores = (
-        SimilarityScores.from_array(array)
-        if fit_metadata.get("store") == "dict"
-        else array
-    )
 
     bid_terms = manifest.get("bid_terms")
     if bid_terms is not None and not isinstance(bid_terms, list):
@@ -320,7 +309,7 @@ def read_snapshot(path: PathLike, engine_cls=None):
         config=config,
         bid_terms=bid_terms,
     )
-    engine.method.restore(scores)
+    engine.method.restore(array)
     engine._precompute_universe = manifest.get("query_universe")
     engine._snapshot_graph_fingerprint = fit_metadata.get("graph")
     engine._snapshot_state_generation = getattr(
@@ -329,9 +318,10 @@ def read_snapshot(path: PathLike, engine_cls=None):
     iterations_run = fit_metadata.get("iterations_run")
     # Kept on the engine (cleared by a refit) so a re-save preserves the
     # metadata for every backend; matrix/sparse methods also expose it
-    # directly through their own iterations_run attribute.
+    # directly through their own iterations_run attribute (auto's is a
+    # read-only view of its delegate, which a restored engine lacks).
     engine._snapshot_iterations_run = iterations_run
-    if iterations_run is not None and hasattr(engine.method, "iterations_run"):
+    if iterations_run is not None and isinstance(engine.method, KernelSimrank):
         engine.method.iterations_run = iterations_run
     plan_payload = fit_metadata.get("plan")
     if plan_payload is not None:

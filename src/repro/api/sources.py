@@ -1,7 +1,7 @@
 """One front door over every way to obtain a servable engine.
 
 Three construction paths grew up independently -- snapshot revival (with
-sibling fallback) in :mod:`repro.serving.resilience`, synthetic fit in
+sibling fallback) in the serving tier, synthetic fit in
 ``serving/app.py``, snapshot-or-refit in the eval harness -- each with its
 own error handling and none aware of serving stores.
 :func:`resolve_engine_source` is the single resolver they all now

@@ -41,9 +41,7 @@ from repro.core.evidence import (
 from repro.core.evidence_simrank import EvidenceSimrank
 from repro.core.hybrid import HybridSimilarity, TextSimilarity, text_similarity
 from repro.core.pearson import PearsonSimilarity, pearson_similarity
-from repro.core.registry import available_methods, create_method
 from repro.core.rewriter import CandidateDecision, QueryRewriter, Rewrite, RewriteList
-from repro.core.scores import SimilarityScores
 from repro.core.scores_array import ArraySimilarityScores
 from repro.core.simrank import BipartiteSimrank, SimrankResult
 from repro.core.simrank_matrix import MatrixSimrank
@@ -73,13 +71,10 @@ __all__ = [
     "text_similarity",
     "PearsonSimilarity",
     "pearson_similarity",
-    "available_methods",
-    "create_method",
     "CandidateDecision",
     "QueryRewriter",
     "Rewrite",
     "RewriteList",
-    "SimilarityScores",
     "ArraySimilarityScores",
     "BipartiteSimrank",
     "SimrankResult",

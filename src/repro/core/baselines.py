@@ -12,9 +12,9 @@
 from __future__ import annotations
 
 import math
-from typing import Hashable
+from typing import Dict, Hashable, Tuple
 
-from repro.core.scores import SimilarityScores
+from repro.core.scores_array import ArraySimilarityScores
 from repro.core.similarity_base import QuerySimilarityMethod
 from repro.graph.click_graph import ClickGraph, WeightSource
 
@@ -39,8 +39,8 @@ class _PairwiseOverAds(QuerySimilarityMethod):
     def _pair_score(self, graph: ClickGraph, first: Node, second: Node) -> float:
         raise NotImplementedError
 
-    def _compute_query_scores(self, graph: ClickGraph) -> SimilarityScores:
-        scores = SimilarityScores()
+    def _compute_query_scores(self, graph: ClickGraph) -> ArraySimilarityScores:
+        scores: Dict[Tuple[Node, Node], float] = {}
         seen = set()
         for ad in graph.ads():
             co_clicked = sorted(graph.queries_of(ad), key=repr)
@@ -52,8 +52,8 @@ class _PairwiseOverAds(QuerySimilarityMethod):
                     seen.add(key)
                     value = self._pair_score(graph, first, second)
                     if value != 0.0:
-                        scores.set(first, second, value)
-        return scores
+                        scores[(first, second)] = value
+        return ArraySimilarityScores.from_pairs(scores)
 
 
 class CommonAdSimilarity(_PairwiseOverAds):

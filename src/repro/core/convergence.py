@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.scores import SimilarityScores
+from repro.core.scores_array import ArraySimilarityScores
 
 __all__ = [
     "iteration_deltas",
@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 
-def iteration_deltas(history: Sequence[SimilarityScores]) -> List[float]:
+def iteration_deltas(history: Sequence[ArraySimilarityScores]) -> List[float]:
     """Largest per-pair change between consecutive iteration snapshots."""
     deltas: List[float] = []
     for previous, current in zip(history, history[1:]):
@@ -30,7 +30,7 @@ def iteration_deltas(history: Sequence[SimilarityScores]) -> List[float]:
     return deltas
 
 
-def has_converged(history: Sequence[SimilarityScores], tolerance: float) -> bool:
+def has_converged(history: Sequence[ArraySimilarityScores], tolerance: float) -> bool:
     """Whether the last recorded iteration changed scores by less than ``tolerance``."""
     if len(history) < 2:
         return False

@@ -19,11 +19,11 @@ the faithful behaviour.)
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.config import SimrankConfig
 from repro.core.evidence import evidence_score
-from repro.core.scores import SimilarityScores
+from repro.core.scores_array import ArraySimilarityScores
 from repro.core.similarity_base import QuerySimilarityMethod
 from repro.core.simrank import BipartiteSimrank, SimrankResult
 from repro.graph.click_graph import ClickGraph
@@ -53,12 +53,12 @@ class EvidenceSimrank(QuerySimilarityMethod):
         )
         self.max_pairs = max_pairs
         self._simrank: Optional[BipartiteSimrank] = None
-        self._ad_scores: Optional[SimilarityScores] = None
-        self._query_history: List[SimilarityScores] = []
+        self._ad_scores: Optional[ArraySimilarityScores] = None
+        self._query_history: List[ArraySimilarityScores] = []
 
     # -------------------------------------------------------------- fit path
 
-    def _compute_query_scores(self, graph: ClickGraph) -> SimilarityScores:
+    def _compute_query_scores(self, graph: ClickGraph) -> ArraySimilarityScores:
         self._simrank = BipartiteSimrank(
             config=self.config, track_history=self.track_history, max_pairs=self.max_pairs
         )
@@ -97,7 +97,7 @@ class EvidenceSimrank(QuerySimilarityMethod):
         ).result
 
     @property
-    def query_history(self) -> List[SimilarityScores]:
+    def query_history(self) -> List[ArraySimilarityScores]:
         """Per-iteration evidence-based query scores (Table 4)."""
         self._require_fitted()
         # The inner SimRank marks genuine fit state: on a snapshot-restored
@@ -116,9 +116,9 @@ class EvidenceSimrank(QuerySimilarityMethod):
     # ------------------------------------------------------------- internals
 
     def _apply_evidence(
-        self, graph: ClickGraph, scores: SimilarityScores, side: str
-    ) -> SimilarityScores:
-        scaled = SimilarityScores()
+        self, graph: ClickGraph, scores: ArraySimilarityScores, side: str
+    ) -> ArraySimilarityScores:
+        scaled: Dict[Tuple[Node, Node], float] = {}
         for first, second, value in scores.pairs():
             if side == "query":
                 common = len(set(graph.ads_of(first)) & set(graph.ads_of(second)))
@@ -129,5 +129,5 @@ class EvidenceSimrank(QuerySimilarityMethod):
                 factor = self.zero_evidence_floor
             scaled_value = value * factor
             if scaled_value != 0.0:
-                scaled.set(first, second, scaled_value)
-        return scaled
+                scaled[(first, second)] = scaled_value
+        return ArraySimilarityScores.from_pairs(scaled)

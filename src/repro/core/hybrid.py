@@ -16,9 +16,9 @@ This module provides that extension:
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Dict, Hashable, Tuple
 
-from repro.core.scores import SimilarityScores
+from repro.core.scores_array import ArraySimilarityScores
 from repro.core.similarity_base import QuerySimilarityMethod
 from repro.graph.click_graph import ClickGraph
 from repro.text.normalize import tokenize
@@ -48,8 +48,8 @@ class TextSimilarity(QuerySimilarityMethod):
 
     name = "text"
 
-    def _compute_query_scores(self, graph: ClickGraph) -> SimilarityScores:
-        scores = SimilarityScores()
+    def _compute_query_scores(self, graph: ClickGraph) -> ArraySimilarityScores:
+        scores: Dict[Tuple[Node, Node], float] = {}
         by_stem = {}
         for query in graph.queries():
             # dict.fromkeys dedups while keeping token order -- iterating a
@@ -69,8 +69,8 @@ class TextSimilarity(QuerySimilarityMethod):
                     seen.add(key)
                     value = text_similarity(first, second)
                     if value > 0.0:
-                        scores.set(first, second, value)
-        return scores
+                        scores[(first, second)] = value
+        return ArraySimilarityScores.from_pairs(scores)
 
 
 class HybridSimilarity(QuerySimilarityMethod):
@@ -91,7 +91,7 @@ class HybridSimilarity(QuerySimilarityMethod):
         self.name = f"hybrid({graph_method.name}, alpha={alpha:g})"
         self._text = TextSimilarity()
 
-    def _compute_query_scores(self, graph: ClickGraph) -> SimilarityScores:
+    def _compute_query_scores(self, graph: ClickGraph) -> ArraySimilarityScores:
         # Always refit the inner method.  It used to be skipped when
         # `graph_method.graph is graph`, but graphs are mutated *in place*
         # by RewriteEngine.refresh (and may be by callers), and an identity
@@ -106,10 +106,13 @@ class HybridSimilarity(QuerySimilarityMethod):
         graph_scores = self.graph_method.similarities()
         text_scores = self._text.similarities()
 
-        combined = SimilarityScores()
+        combined: Dict[Tuple[Node, Node], float] = {}
         # Order-preserving union: graph pairs first, then text-only pairs.
         # A set union here would enumerate pairs in hash order, making the
-        # insertion order of `combined` depend on PYTHONHASHSEED.
+        # insertion order of `combined` depend on PYTHONHASHSEED.  The two
+        # stores' indexes need not agree, so the union can hold one pair in
+        # both orientations; both carry the same value and from_pairs keeps
+        # one.
         pairs = dict.fromkeys((a, b) for a, b, _ in graph_scores.pairs())
         pairs.update(dict.fromkeys((a, b) for a, b, _ in text_scores.pairs()))
         for first, second in pairs:
@@ -117,8 +120,8 @@ class HybridSimilarity(QuerySimilarityMethod):
                 text_scores.score(first, second)
             )
             if value > 0.0:
-                combined.set(first, second, value)
-        return combined
+                combined[(first, second)] = value
+        return ArraySimilarityScores.from_pairs(combined)
 
     def component_scores(self, first: Node, second: Node) -> tuple:
         """The (graph, text) components behind a hybrid score, for inspection."""

@@ -19,9 +19,9 @@ score lies in ``[-1, 1]``; only positive scores are useful as rewrites.
 from __future__ import annotations
 
 import math
-from typing import Hashable
+from typing import Dict, Hashable, Tuple
 
-from repro.core.scores import SimilarityScores
+from repro.core.scores_array import ArraySimilarityScores
 from repro.core.similarity_base import QuerySimilarityMethod
 from repro.graph.click_graph import ClickGraph, WeightSource
 
@@ -82,8 +82,8 @@ class PearsonSimilarity(QuerySimilarityMethod):
         #: they are dropped so they never rank above unrelated queries.
         self.keep_negative = keep_negative
 
-    def _compute_query_scores(self, graph: ClickGraph) -> SimilarityScores:
-        scores = SimilarityScores()
+    def _compute_query_scores(self, graph: ClickGraph) -> ArraySimilarityScores:
+        scores: Dict[Tuple[Node, Node], float] = {}
         # Only pairs sharing an ad can be non-zero: enumerate them via ads.
         seen = set()
         for ad in graph.ads():
@@ -99,5 +99,5 @@ class PearsonSimilarity(QuerySimilarityMethod):
                         continue
                     if value < 0.0 and not self.keep_negative:
                         continue
-                    scores.set(first, second, value)
-        return scores
+                    scores[(first, second)] = value
+        return ArraySimilarityScores.from_pairs(scores)

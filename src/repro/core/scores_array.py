@@ -1,25 +1,26 @@
-"""Array-backed similarity score store.
+"""Array-backed similarity score store: the one score container.
 
-:class:`~repro.core.scores.SimilarityScores` keeps one Python dict entry per
-*direction* of every stored pair, so materializing the result of a matrix
-fixpoint costs two dict insertions (plus boxing) per pair -- on realistic
-click graphs that eager copy dominates fit time well before the linear
-algebra does.  :class:`ArraySimilarityScores` implements the same read
+Every similarity method returns an :class:`ArraySimilarityScores`: the final
+similarity matrix as a symmetric ``scipy.sparse`` CSR matrix with zero
+diagonal, plus the node index mapping rows to node identifiers.  The read
 interface (``score``, ``top``, ``neighbors``, ``pairs``, ``max_difference``,
-``nodes``, ``nonzero_count``, ``copy``, ``len``) directly over the final
-similarity matrix: a symmetric ``scipy.sparse`` CSR matrix with zero diagonal
-plus the node index mapping rows to node identifiers.  Nothing is copied out
-of the matrix; ``top()`` is served with a vectorized ``numpy`` partition
-instead of per-pair dict traffic.
+``nodes``, ``nonzero_count``, ``copy``, ``len``) works directly on that
+matrix: nothing is copied out of it, and ``top()`` is served with a
+vectorized ``numpy`` partition instead of per-pair Python traffic.  The
+matrix backends build the store from their fixpoint matrix
+(:meth:`~ArraySimilarityScores.from_dense` /
+:meth:`~ArraySimilarityScores.from_sparse`); the node-pair methods collect
+``{(a, b): value}`` pairs and convert them once at the end
+(:meth:`~ArraySimilarityScores.from_pairs`).
 
-Self-similarities are implicit 1 (never stored), missing pairs score 0 --
-exactly like the dict-backed container.  The store is read-only: similarity
-engines build it once from their fixpoint matrix and serving code only reads.
+Self-similarities are implicit 1 (never stored) and missing pairs score 0.
+The store is read-only: similarity engines build it once and serving code
+only reads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -92,6 +93,37 @@ class ArraySimilarityScores:
         return cls(half + half.T, index)
 
     @classmethod
+    def from_pairs(
+        cls, pairs: Mapping[Tuple[Node, Node], float]
+    ) -> "ArraySimilarityScores":
+        """Store built from ``{(first, second): value}`` node-pair scores.
+
+        This is how the node-pair methods (the reference SimRank engines,
+        Pearson, text, hybrid and the overlap baselines) publish their
+        results.  Pairs are unordered: when a pair appears in both
+        orientations the later entry wins, and self-pairs are ignored.  The
+        index is the nodes of the non-zero pairs, sorted by ``repr``.
+        """
+        latest: Dict[Tuple[Node, Node], float] = {}
+        for (first, second), value in pairs.items():
+            if first != second:
+                latest.pop((second, first), None)
+                latest[(first, second)] = value
+        stored = [(pair, value) for pair, value in latest.items() if value != 0.0]
+        index = sorted(dict.fromkeys(node for pair, _ in stored for node in pair), key=repr)
+        position = {node: i for i, node in enumerate(index)}
+        rows: List[int] = []
+        columns: List[int] = []
+        data: List[float] = []
+        for (first, second), value in stored:
+            i, j = position[first], position[second]
+            rows.extend((i, j))
+            columns.extend((j, i))
+            data.extend((value, value))
+        matrix = sparse.csr_matrix((data, (rows, columns)), shape=(len(index), len(index)))
+        return cls(matrix, index)
+
+    @classmethod
     def stitched(cls, stores: Iterable["ArraySimilarityScores"]) -> "ArraySimilarityScores":
         """One store over the block-diagonal union of node-disjoint stores.
 
@@ -152,8 +184,8 @@ class ArraySimilarityScores:
 
         Selection is a vectorized ``numpy`` partition over the node's matrix
         row; only the (at most ``k`` plus boundary ties) surviving candidates
-        are boxed into Python objects and sorted with the same deterministic
-        ``(-score, repr)`` tie-break as the dict-backed store.
+        are boxed into Python objects and sorted by the deterministic
+        ``(-score, repr)`` tie-break.
         """
         i = self._pos.get(node)
         if i is None or k <= 0:
@@ -202,15 +234,13 @@ class ArraySimilarityScores:
 
     # ------------------------------------------------------------------ misc
 
-    def max_difference(self, other) -> float:
+    def max_difference(self, other: "ArraySimilarityScores") -> float:
         """Largest absolute per-pair difference against another score set.
 
-        Works against any score container exposing ``pairs()`` and
-        ``score()`` (the dict-backed :class:`~repro.core.scores
-        .SimilarityScores` included); two array stores over the same index
-        are compared directly on their matrices.
+        Two stores over the same index are compared directly on their
+        matrices; otherwise every pair stored in either one is compared.
         """
-        if isinstance(other, ArraySimilarityScores) and self._index == other._index:
+        if self._index == other._index:
             difference = abs(self._matrix - other._matrix)
             return float(difference.max()) if difference.nnz else 0.0
         keys = {(a, b) for a, b, _ in self.pairs()} | {(a, b) for a, b, _ in other.pairs()}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 from typing import Hashable, List, Optional, Tuple
 
-from repro.core.scores import SimilarityScores
+from repro.core.scores_array import ArraySimilarityScores
 from repro.graph.click_graph import ClickGraph
 
 __all__ = ["QuerySimilarityMethod"]
@@ -28,7 +28,7 @@ class QuerySimilarityMethod(abc.ABC):
 
     def __init__(self) -> None:
         self._graph: Optional[ClickGraph] = None
-        self._query_scores: Optional[SimilarityScores] = None
+        self._query_scores: Optional[ArraySimilarityScores] = None
         #: Bumped by every fit() and restore(); serving layers compare it to
         #: detect an out-of-band refit/restore and drop their caches.
         self._fit_generation = 0
@@ -43,7 +43,8 @@ class QuerySimilarityMethod(abc.ABC):
         """Analyse the click graph and cache query-query similarity scores.
 
         ``initial_scores`` optionally seeds the computation with a previous
-        fit's query scores (any store exposing ``score``/``pairs``, such as
+        fit's query scores (an
+        :class:`~repro.core.scores_array.ArraySimilarityScores`, such as
         :meth:`similarities` of an earlier fit or a revived snapshot).  The
         iterative backends start their fixpoint from the seed instead of
         the identity -- with ``SimrankConfig.tolerance`` early exit, a fit
@@ -70,11 +71,11 @@ class QuerySimilarityMethod(abc.ABC):
         return self
 
     @abc.abstractmethod
-    def _compute_query_scores(self, graph: ClickGraph) -> SimilarityScores:
+    def _compute_query_scores(self, graph: ClickGraph) -> ArraySimilarityScores:
         """Compute the pairwise query similarity scores for ``graph``."""
 
     def restore(
-        self, scores: SimilarityScores, graph: Optional[ClickGraph] = None
+        self, scores: ArraySimilarityScores, graph: Optional[ClickGraph] = None
     ) -> "QuerySimilarityMethod":
         """Adopt precomputed query scores as the fitted state, skipping the fit.
 
@@ -102,7 +103,7 @@ class QuerySimilarityMethod(abc.ABC):
         self._require_fitted()
         return self._graph
 
-    def similarities(self) -> SimilarityScores:
+    def similarities(self) -> ArraySimilarityScores:
         """The full set of query-query similarity scores."""
         self._require_fitted()
         return self._query_scores

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.config import SimrankConfig
-from repro.core.scores import SimilarityScores
+from repro.core.scores_array import ArraySimilarityScores
 from repro.core.similarity_base import QuerySimilarityMethod
 from repro.core.warm_start import seed_pair_scores
 from repro.graph.click_graph import ClickGraph
@@ -42,14 +42,14 @@ Pair = Tuple[Node, Node]
 class SimrankResult:
     """Query- and ad-side similarity scores plus the iteration trace."""
 
-    query_scores: SimilarityScores
-    ad_scores: SimilarityScores
+    query_scores: ArraySimilarityScores
+    ad_scores: ArraySimilarityScores
     iterations_run: int
     converged: bool = False
     #: Per-iteration snapshots of the query-side scores (index 0 = after the
     #: first iteration).  Only populated when history tracking is requested.
-    query_history: List[SimilarityScores] = field(default_factory=list)
-    ad_history: List[SimilarityScores] = field(default_factory=list)
+    query_history: List[ArraySimilarityScores] = field(default_factory=list)
+    ad_history: List[ArraySimilarityScores] = field(default_factory=list)
 
 
 class BipartiteSimrank(QuerySimilarityMethod):
@@ -71,7 +71,7 @@ class BipartiteSimrank(QuerySimilarityMethod):
 
     # -------------------------------------------------------------- fit path
 
-    def _compute_query_scores(self, graph: ClickGraph) -> SimilarityScores:
+    def _compute_query_scores(self, graph: ClickGraph) -> ArraySimilarityScores:
         self._result = self._run(graph)
         return self._result.query_scores
 
@@ -117,8 +117,8 @@ class BipartiteSimrank(QuerySimilarityMethod):
         else:
             sim_q: Dict[Pair, float] = {pair: 0.0 for pair in query_pairs}
             sim_a: Dict[Pair, float] = {pair: 0.0 for pair in ad_pairs}
-        history_q: List[SimilarityScores] = []
-        history_a: List[SimilarityScores] = []
+        history_q: List[ArraySimilarityScores] = []
+        history_a: List[ArraySimilarityScores] = []
         converged = False
         iterations_run = 0
 
@@ -140,15 +140,15 @@ class BipartiteSimrank(QuerySimilarityMethod):
             delta = max(delta, _max_delta(sim_a, new_a))
             sim_q, sim_a = new_q, new_a
             if self.track_history:
-                history_q.append(_to_scores(sim_q))
-                history_a.append(_to_scores(sim_a))
+                history_q.append(ArraySimilarityScores.from_pairs(sim_q))
+                history_a.append(ArraySimilarityScores.from_pairs(sim_a))
             if self.config.tolerance > 0 and delta < self.config.tolerance:
                 converged = True
                 break
 
         return SimrankResult(
-            query_scores=_to_scores(sim_q),
-            ad_scores=_to_scores(sim_a),
+            query_scores=ArraySimilarityScores.from_pairs(sim_q),
+            ad_scores=ArraySimilarityScores.from_pairs(sim_a),
             iterations_run=iterations_run,
             converged=converged,
             query_history=history_q,
@@ -220,11 +220,3 @@ def _max_delta(old: Dict[Pair, float], new: Dict[Pair, float]) -> float:
     if not new:
         return 0.0
     return max(abs(new[pair] - old.get(pair, 0.0)) for pair in new)
-
-
-def _to_scores(values: Dict[Pair, float]) -> SimilarityScores:
-    scores = SimilarityScores()
-    for (first, second), value in values.items():
-        if value != 0.0:
-            scores.set(first, second, value)
-    return scores

@@ -10,12 +10,11 @@ early exit enabled (``SimrankConfig.tolerance``), a warm-started fit
 converges in a handful of iterations instead of re-propagating similarity
 from scratch.
 
-These helpers turn a previous score store -- array-backed
-(:class:`~repro.core.scores_array.ArraySimilarityScores`) or dict-backed
-(:class:`~repro.core.scores.SimilarityScores`), e.g. one revived from an
-engine snapshot -- into a seed over the *new* fit's node index (a CSR matrix
-for :mod:`repro.core.simrank_kernel`, a per-pair dict for the reference
-engines).  Nodes absent from the previous scores start at the identity;
+These helpers turn a previous score store
+(:class:`~repro.core.scores_array.ArraySimilarityScores`, e.g. one revived
+from an engine snapshot) into a seed over the *new* fit's node index (a CSR
+matrix for :mod:`repro.core.simrank_kernel`, a per-pair dict for the
+reference engines).  Nodes absent from the previous scores start at the identity;
 previous nodes absent from the new index are dropped.
 
 Only the query side is ever seeded: snapshots persist nothing else, and the
@@ -46,34 +45,15 @@ def _seed_triplets(initial_scores, position: Dict[Node, int]):
     Both directions of every surviving pair are returned (the stores are
     symmetric).  Entries involving a node outside ``position`` are dropped.
     """
-    matrix = getattr(initial_scores, "matrix", None)
-    old_index = getattr(initial_scores, "index", None)
-    if matrix is not None and old_index is not None:
-        # Array-backed store: vectorized remap of the CSR entries.
-        old_to_new = np.full(len(old_index), -1, dtype=np.int64)
-        for old_position, node in enumerate(old_index):
-            new_position = position.get(node)
-            if new_position is not None:
-                old_to_new[old_position] = new_position
-        coo = matrix.tocoo()
-        keep = (old_to_new[coo.row] >= 0) & (old_to_new[coo.col] >= 0)
-        return old_to_new[coo.row[keep]], old_to_new[coo.col[keep]], coo.data[keep]
-    rows = []
-    columns = []
-    data = []
-    for first, second, value in initial_scores.pairs():
-        i = position.get(first)
-        j = position.get(second)
-        if i is None or j is None:
-            continue
-        rows.extend((i, j))
-        columns.extend((j, i))
-        data.extend((value, value))
-    return (
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(columns, dtype=np.int64),
-        np.asarray(data, dtype=float),
-    )
+    old_index = initial_scores.index
+    old_to_new = np.full(len(old_index), -1, dtype=np.int64)
+    for old_position, node in enumerate(old_index):
+        new_position = position.get(node)
+        if new_position is not None:
+            old_to_new[old_position] = new_position
+    coo = initial_scores.matrix.tocoo()
+    keep = (old_to_new[coo.row] >= 0) & (old_to_new[coo.col] >= 0)
+    return old_to_new[coo.row[keep]], old_to_new[coo.col[keep]], coo.data[keep]
 
 
 def seed_csr(initial_scores, index: Sequence[Node]) -> sparse.csr_matrix:

@@ -29,9 +29,9 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.config import SimrankConfig
 from repro.core.evidence import evidence_score
-from repro.core.scores import SimilarityScores
+from repro.core.scores_array import ArraySimilarityScores
 from repro.core.similarity_base import QuerySimilarityMethod
-from repro.core.simrank import _component_pairs, _max_delta, _to_scores
+from repro.core.simrank import _component_pairs, _max_delta
 from repro.core.warm_start import seed_pair_scores
 from repro.graph.click_graph import ClickGraph, WeightSource
 
@@ -104,12 +104,12 @@ def transition_factors(
 class WeightedSimrankResult:
     """Both-side weighted SimRank scores plus the iteration trace."""
 
-    query_scores: SimilarityScores
-    ad_scores: SimilarityScores
+    query_scores: ArraySimilarityScores
+    ad_scores: ArraySimilarityScores
     iterations_run: int
     converged: bool = False
-    query_history: List[SimilarityScores] = field(default_factory=list)
-    ad_history: List[SimilarityScores] = field(default_factory=list)
+    query_history: List[ArraySimilarityScores] = field(default_factory=list)
+    ad_history: List[ArraySimilarityScores] = field(default_factory=list)
 
 
 class WeightedSimrank(QuerySimilarityMethod):
@@ -135,7 +135,7 @@ class WeightedSimrank(QuerySimilarityMethod):
 
     # -------------------------------------------------------------- fit path
 
-    def _compute_query_scores(self, graph: ClickGraph) -> SimilarityScores:
+    def _compute_query_scores(self, graph: ClickGraph) -> ArraySimilarityScores:
         self._result = self._run(graph)
         return self._result.query_scores
 
@@ -151,7 +151,7 @@ class WeightedSimrank(QuerySimilarityMethod):
         return self._require_fit_extra(self._result, "WeightedSimrankResult")
 
     @property
-    def query_history(self) -> List[SimilarityScores]:
+    def query_history(self) -> List[ArraySimilarityScores]:
         """Per-iteration query scores (only when history tracking is on)."""
         self._require_fitted()
         return list(
@@ -193,8 +193,8 @@ class WeightedSimrank(QuerySimilarityMethod):
         else:
             sim_q: Dict[Pair, float] = {pair: 0.0 for pair in query_pairs}
             sim_a: Dict[Pair, float] = {pair: 0.0 for pair in ad_pairs}
-        history_q: List[SimilarityScores] = []
-        history_a: List[SimilarityScores] = []
+        history_q: List[ArraySimilarityScores] = []
+        history_a: List[ArraySimilarityScores] = []
         converged = False
         iterations_run = 0
 
@@ -219,15 +219,15 @@ class WeightedSimrank(QuerySimilarityMethod):
             delta = max(_max_delta(sim_q, new_q), _max_delta(sim_a, new_a))
             sim_q, sim_a = new_q, new_a
             if self.track_history:
-                history_q.append(_to_scores(sim_q))
-                history_a.append(_to_scores(sim_a))
+                history_q.append(ArraySimilarityScores.from_pairs(sim_q))
+                history_a.append(ArraySimilarityScores.from_pairs(sim_a))
             if self.config.tolerance > 0 and delta < self.config.tolerance:
                 converged = True
                 break
 
         return WeightedSimrankResult(
-            query_scores=_to_scores(sim_q),
-            ad_scores=_to_scores(sim_a),
+            query_scores=ArraySimilarityScores.from_pairs(sim_q),
+            ad_scores=ArraySimilarityScores.from_pairs(sim_a),
             iterations_run=iterations_run,
             converged=converged,
             query_history=history_q,

@@ -54,8 +54,7 @@ parts (:mod:`repro.serving.resilience`):
   successful refresh returns a degraded server to healthy.
 * **Crash-safe startup.**  ``serve --snapshot DIR`` falls back to the
   newest loadable sibling snapshot when ``DIR`` is corrupt
-  (:func:`repro.api.sources.resolve_engine_source`, which the deprecated
-  :func:`~repro.serving.resilience.load_engine_with_fallback` now wraps).
+  (:func:`repro.api.sources.resolve_engine_source`).
 
 Engine sources
 --------------
@@ -104,7 +103,6 @@ from repro.serving.resilience import (
     CircuitBreaker,
     RetryPolicy,
     classify_health,
-    load_engine_with_fallback,
 )
 from repro.serving.server import (
     RewriteServer,
@@ -120,7 +118,6 @@ __all__ = [
     "CircuitBreaker",
     "RetryPolicy",
     "classify_health",
-    "load_engine_with_fallback",
     "HEALTHY",
     "DEGRADED",
     "DRAINING",

@@ -24,12 +24,6 @@ holds the mechanisms that make that survivable rather than accidental:
     struggling": the breaker is not closed, or the last publish attempt
     failed.  One successful refresh returns the server to healthy.
 
-``load_engine_with_fallback``
-    Deprecated shim over :func:`repro.api.sources.resolve_engine_source`,
-    which now owns the crash-safe startup policy: when the requested
-    snapshot is corrupt (torn write, missing files), fall back to the
-    newest *loadable* sibling snapshot instead of refusing to start.
-
 Everything here is synchronous, dependency-free and injectable-clock
 testable; the asyncio server wraps these primitives in executor threads.
 """
@@ -39,12 +33,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-import warnings
-from pathlib import Path
-from typing import Callable, Iterator, Optional, Tuple, Union
-
-from repro.api.engine import RewriteEngine
-from repro.api.sources import _sibling_snapshots, resolve_engine_source  # noqa: F401 -- back-compat re-export
+from typing import Callable, Iterator, Optional
 
 __all__ = [
     "HEALTHY",
@@ -53,7 +42,6 @@ __all__ = [
     "CircuitBreaker",
     "RetryPolicy",
     "classify_health",
-    "load_engine_with_fallback",
 ]
 
 #: Health states, in order of decreasing wellness.  ``healthy``: serving and
@@ -269,38 +257,3 @@ class RetryPolicy:
             f"RetryPolicy(retries={self.retries}, backoff_s={self.backoff_s}, "
             f"max_backoff_s={self.max_backoff_s}, jitter={self.jitter})"
         )
-
-
-PathLike = Union[str, Path]
-
-
-def load_engine_with_fallback(
-    path: PathLike,
-    warn: Optional[Callable[[str], None]] = None,
-) -> Tuple[RewriteEngine, Path]:
-    """Load the snapshot (or serving store) at ``path``, with sibling fallback.
-
-    .. deprecated:: 1.2
-        Thin shim over :func:`repro.api.sources.resolve_engine_source`,
-        the one front door over snapshot / store / fresh-fit engine
-        construction; will be removed in version 2.0.
-
-    Returns ``(engine, path_actually_loaded)``.  A file path is opened as
-    a SQLite serving store; a directory path as a snapshot, where only
-    :class:`~repro.api.snapshot.SnapshotError` (corrupt manifest, torn
-    score matrix, missing files) triggers the sibling-fallback scan --
-    see :func:`~repro.api.sources.resolve_engine_source` for the policy.
-    """
-    warnings.warn(
-        "repro.serving.load_engine_with_fallback is deprecated; use "
-        "repro.api.sources.resolve_engine_source(snapshot=...) (or "
-        "store=...) instead -- it will be removed in version 2.0",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    requested = Path(path)
-    if requested.is_file():
-        resolved = resolve_engine_source(store=requested)
-    else:
-        resolved = resolve_engine_source(snapshot=requested, warn=warn)
-    return resolved.engine, resolved.origin or requested

@@ -268,6 +268,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -284,6 +285,10 @@ _ROUTES = {
     ("GET", "/stats"): "_handle_stats",
 }
 _ROUTE_PATHS = frozenset(path for _, path in _ROUTES)
+
+#: Header lines accepted per request; one more answers 431 and closes, so a
+#: client cannot stream header lines into the request's header dict forever.
+_MAX_HEADER_LINES = 100
 
 
 @dataclass
@@ -640,12 +645,14 @@ class RewriteServer:
             except ValueError:
                 raise _HttpError(400, "malformed request line") from None
             headers: Dict[str, str] = {}
-            while True:
+            for _ in range(_MAX_HEADER_LINES + 1):
                 header = await reader.readline()
                 if header in (b"\r\n", b"\n", b""):
                     break
                 name, _, value = header.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
+            else:
+                raise _HttpError(431, "too many header lines")
         except ValueError:  # readline: a line over the stream reader's limit
             raise _HttpError(400, "request line or header too long") from None
         raw_length = headers.get("content-length") or "0"

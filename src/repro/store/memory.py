@@ -2,8 +2,8 @@
 
 :class:`InMemoryServingStore` wraps a fitted
 :class:`~repro.core.similarity_base.QuerySimilarityMethod` (its
-:class:`~repro.core.scores_array.ArraySimilarityScores` or dict-backed
-store) and a :class:`~repro.core.rewriter.QueryRewriter` behind the
+:class:`~repro.core.scores_array.ArraySimilarityScores` store) and a
+:class:`~repro.core.rewriter.QueryRewriter` behind the
 :class:`~repro.store.base.ServingStore` protocol: each lookup runs the
 similarity top-k and the Section 9.3 filter pipeline against the resident
 score store.  This is exactly what a fitted engine serves today -- the

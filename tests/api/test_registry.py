@@ -1,4 +1,4 @@
-"""Registry error paths, extensibility and the create_method deprecation shim."""
+"""Registry error paths, extensibility and the one score container."""
 
 import pytest
 
@@ -17,8 +17,7 @@ from repro.api.registry import (
     register_method,
     unregister_method,
 )
-from repro.core.registry import create_method
-from repro.core.scores import SimilarityScores
+from repro.core.scores_array import ArraySimilarityScores
 from repro.core.similarity_base import QuerySimilarityMethod
 
 
@@ -31,13 +30,15 @@ class ConstantSimilarity(QuerySimilarityMethod):
         super().__init__()
         self.value = value
 
-    def _compute_query_scores(self, graph) -> SimilarityScores:
-        scores = SimilarityScores()
+    def _compute_query_scores(self, graph) -> ArraySimilarityScores:
         queries = sorted(str(query) for query in graph.queries())
-        for index, first in enumerate(queries):
-            for second in queries[index + 1 :]:
-                scores.set(first, second, self.value)
-        return scores
+        return ArraySimilarityScores.from_pairs(
+            {
+                (first, second): self.value
+                for index, first in enumerate(queries)
+                for second in queries[index + 1 :]
+            }
+        )
 
 
 @pytest.fixture
@@ -154,17 +155,14 @@ class TestExtensibility:
             unregister_method("constant_class")
 
 
-class TestDeprecationShim:
-    def test_create_method_still_works_with_a_warning(self, small_weighted_graph):
-        with pytest.warns(DeprecationWarning):
-            method = create_method("weighted_simrank")
-        method.fit(small_weighted_graph)
-        assert method.query_similarity("camera", "digital camera") > 0
+BUILTIN_METHOD_BACKENDS = [
+    (name, backend) for name in available_methods() for backend in available_backends(name)
+]
 
-    def test_create_method_keeps_old_error_contract(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                create_method("not-a-method")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                create_method("simrank", backend="gpu")
+
+@pytest.mark.parametrize("name,backend", BUILTIN_METHOD_BACKENDS)
+def test_every_method_and_backend_returns_the_array_store(name, backend, small_weighted_graph):
+    method = create(name, backend=backend).fit(small_weighted_graph)
+    scores = method.similarities()
+    assert isinstance(scores, ArraySimilarityScores)
+    assert len(scores) > 0

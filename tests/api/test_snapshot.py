@@ -16,7 +16,9 @@ from repro.api.snapshot import (
     write_snapshot,
 )
 from repro.core.config import SimrankConfig
+from repro.core.scores_array import ArraySimilarityScores
 from repro.graph.click_graph import ClickGraph
+from repro.synth.scenarios import complete_bipartite_graph
 
 
 class TestRoundTrip:
@@ -193,6 +195,42 @@ class TestRoundTrip:
         again = fitted.save(tmp_path / "snap")
         assert again == path
         assert RewriteEngine.load(path).is_fitted
+
+    @pytest.mark.parametrize("method", ["weighted_simrank", "jaccard"])
+    def test_pre_2_0_dict_store_snapshot_still_loads(
+        self, method, small_weighted_graph, tmp_path
+    ):
+        """1.x manifests of node-pair engines carry ``"store": "dict"``."""
+        engine = RewriteEngine.from_graph(
+            small_weighted_graph, EngineConfig(method=method, backend="reference")
+        ).fit()
+        path = engine.save(tmp_path / "snap")
+        manifest_path = path / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        assert "store" not in manifest["fit"]
+        manifest["fit"]["store"] = "dict"
+        manifest_path.write_text(json.dumps(manifest))
+
+        loaded = RewriteEngine.load(path)
+        assert isinstance(loaded.method.similarities(), ArraySimilarityScores)
+        queries = sorted(small_weighted_graph.queries())
+        assert loaded.serving_profile(queries) == engine.serving_profile(queries)
+
+    def test_auto_backend_snapshot_round_trips(self, tmp_path):
+        """Auto's iterations_run is a read-only view of its delegate."""
+        graph = complete_bipartite_graph(3, 2)  # one component: a dense plan
+        engine = RewriteEngine.from_graph(
+            graph,
+            EngineConfig(method="weighted_simrank", backend="auto"),
+        ).fit()
+        assert engine.method.iterations_run is not None
+        loaded = RewriteEngine.load(engine.save(tmp_path / "snap"))
+        queries = sorted(graph.queries())
+        assert loaded.serving_profile(queries) == engine.serving_profile(queries)
+        resaved = json.loads(
+            (loaded.save(tmp_path / "again") / MANIFEST_FILENAME).read_text()
+        )
+        assert resaved["fit"]["iterations_run"] == engine.method.iterations_run
 
 
 class TestFailureModes:

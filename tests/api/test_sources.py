@@ -117,22 +117,3 @@ class TestStoreSource:
         with pytest.raises(StoreError):
             resolve_engine_source(store=tmp_path / "missing.sqlite")
 
-
-class TestDeprecatedShim:
-    def test_load_engine_with_fallback_warns_and_delegates(self, engine, tmp_path):
-        from repro.serving.resilience import load_engine_with_fallback
-
-        engine.save(tmp_path / "snap")
-        with pytest.warns(DeprecationWarning, match="resolve_engine_source"):
-            loaded, used = load_engine_with_fallback(tmp_path / "snap")
-        assert used == tmp_path / "snap"
-        assert loaded.is_fitted
-
-    def test_shim_opens_store_files(self, engine, tmp_path):
-        from repro.serving.resilience import load_engine_with_fallback
-
-        store_path = engine.export_store(tmp_path / "rewrites.sqlite")
-        with pytest.warns(DeprecationWarning):
-            loaded, used = load_engine_with_fallback(store_path)
-        assert used == store_path
-        assert loaded.serving_store is not None

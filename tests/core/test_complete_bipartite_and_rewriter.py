@@ -13,7 +13,7 @@ from repro.core.config import SimrankConfig
 from repro.core.rewriter import QueryRewriter
 from repro.core.simrank import BipartiteSimrank
 from repro.core.similarity_base import QuerySimilarityMethod
-from repro.core.scores import SimilarityScores
+from repro.core.scores_array import ArraySimilarityScores
 from repro.synth.scenarios import complete_bipartite_graph
 
 
@@ -77,7 +77,7 @@ class _FixedScoresMethod(QuerySimilarityMethod):
         self._pairs = pairs
 
     def _compute_query_scores(self, graph):
-        return SimilarityScores(self._pairs)
+        return ArraySimilarityScores.from_pairs(self._pairs)
 
 
 class TestQueryRewriter:

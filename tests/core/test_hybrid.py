@@ -6,6 +6,7 @@ from repro.core.config import SimrankConfig
 from repro.core.hybrid import HybridSimilarity, TextSimilarity, text_similarity
 from repro.core.simrank_matrix import MatrixSimrank
 from repro.graph.click_graph import ClickGraph
+from repro.synth.yahoo_like import yahoo_like_workload
 
 
 class TestTextSimilarity:
@@ -60,16 +61,26 @@ class TestHybridSimilarity:
         assert graph_part == 0.0 and text_part > 0.0
 
     def test_hybrid_is_linear_combination(self, graph):
+        """``alpha * graph + (1 - alpha) * text`` on every pair of either part.
+
+        Every pair is checked, not a sample, and the hybrid must store each
+        unordered pair of the union exactly once: a pair the two component
+        stores list in opposite orientations is scored once, never summed.
+        """
         config = SimrankConfig(iterations=5)
         alpha = 0.3
-        hybrid = HybridSimilarity(MatrixSimrank(config), alpha=alpha).fit(graph)
-        pure_graph = MatrixSimrank(config).fit(graph)
-        text = TextSimilarity().fit(graph)
-        for first, second in [("camera", "digital camera"), ("pc", "cheap pc")]:
-            expected = alpha * pure_graph.query_similarity(first, second) + (1 - alpha) * (
-                text.query_similarity(first, second)
-            )
-            assert hybrid.query_similarity(first, second) == pytest.approx(expected)
+        for click_graph in (graph, yahoo_like_workload("small").click_graph):
+            hybrid = HybridSimilarity(MatrixSimrank(config), alpha=alpha).fit(click_graph)
+            pure_graph = MatrixSimrank(config).fit(click_graph)
+            text = TextSimilarity().fit(click_graph)
+            pairs = {(a, b) for a, b, _ in pure_graph.similarities().pairs()}
+            pairs |= {(a, b) for a, b, _ in text.similarities().pairs()}
+            assert len(hybrid.similarities()) == len({frozenset(pair) for pair in pairs})
+            for first, second in pairs:
+                expected = alpha * pure_graph.query_similarity(first, second) + (
+                    1 - alpha
+                ) * text.query_similarity(first, second)
+                assert hybrid.query_similarity(first, second) == pytest.approx(expected)
 
     def test_warm_start_refit_does_not_serve_stale_graph_scores(self, graph):
         """An in-place mutated graph + seeded refit must refit the inner method.

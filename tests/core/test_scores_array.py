@@ -1,10 +1,9 @@
-"""The array-backed score store must behave exactly like the dict-backed one."""
+"""The array-backed score store: lookups, ranking, construction and counts."""
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core.scores import SimilarityScores
 from repro.core.scores_array import ArraySimilarityScores
 
 
@@ -21,20 +20,11 @@ def make_store(pairs, index):
 
 @pytest.fixture
 def store():
-    return make_store(
-        {("q", "x"): 0.2, ("q", "y"): 0.8, ("q", "z"): 0.5, ("x", "y"): 0.3},
-        ["q", "x", "y", "z", "isolated"],
-    )
+    return make_store(STORE_PAIRS, ["q", "x", "y", "z", "isolated"])
 
 
-@pytest.fixture
-def dict_store():
-    scores = SimilarityScores()
-    scores.set("q", "x", 0.2)
-    scores.set("q", "y", 0.8)
-    scores.set("q", "z", 0.5)
-    scores.set("x", "y", 0.3)
-    return scores
+#: The pairs of the ``store`` fixture, keyed by (row, column) node.
+STORE_PAIRS = {("q", "x"): 0.2, ("q", "y"): 0.8, ("q", "z"): 0.5, ("x", "y"): 0.3}
 
 
 class TestScoreLookups:
@@ -46,13 +36,13 @@ class TestScoreLookups:
         assert store.score("q", "y") == pytest.approx(0.8)
         assert store.score("y", "q") == pytest.approx(0.8)
 
-    def test_neighbors(self, store, dict_store):
-        assert store.neighbors("q") == dict_store.neighbors("q")
+    def test_neighbors(self, store):
+        assert store.neighbors("q") == {"x": 0.2, "y": 0.8, "z": 0.5}
         assert store.neighbors("isolated") == {}
         assert store.neighbors("unknown") == {}
 
-    def test_len_and_nonzero_count(self, store, dict_store):
-        assert len(store) == len(dict_store) == 4
+    def test_len_and_nonzero_count(self, store):
+        assert len(store) == 4
         assert store.nonzero_count() == 4
 
     def test_nodes_excludes_isolated_rows(self, store):
@@ -60,10 +50,11 @@ class TestScoreLookups:
 
 
 class TestTop:
-    def test_matches_dict_store(self, store, dict_store):
+    def test_matches_literal_ranking(self, store):
+        ranking = [("y", 0.8), ("z", 0.5), ("x", 0.2)]
         for k in (1, 2, 3, 10):
-            assert store.top("q", k=k) == dict_store.top("q", k=k)
-        assert store.top("q", k=5, minimum=0.4) == dict_store.top("q", k=5, minimum=0.4)
+            assert store.top("q", k=k) == ranking[:k]
+        assert store.top("q", k=5, minimum=0.4) == ranking[:2]
         assert store.top("isolated", k=3) == []
         assert store.top("unknown", k=3) == []
         assert store.top("q", k=0) == []
@@ -99,16 +90,18 @@ class TestMaxDifference:
         clone = store.copy()
         assert store.max_difference(clone) == 0.0
 
-    def test_array_vs_dict_both_directions(self, store, dict_store):
-        assert store.max_difference(dict_store) == 0.0
-        assert dict_store.max_difference(store) == 0.0
-        dict_store.set("q", "y", 0.6)
-        assert store.max_difference(dict_store) == pytest.approx(0.2)
-        assert dict_store.max_difference(store) == pytest.approx(0.2)
+    def test_different_indexes_both_directions(self, store):
+        # from_pairs indexes only the paired nodes (no "isolated" row).
+        other = ArraySimilarityScores.from_pairs(STORE_PAIRS)
+        assert other.index != store.index
+        assert store.max_difference(other) == 0.0
+        assert other.max_difference(store) == 0.0
+        changed = ArraySimilarityScores.from_pairs({**STORE_PAIRS, ("q", "y"): 0.6})
+        assert store.max_difference(changed) == pytest.approx(0.2)
+        assert changed.max_difference(store) == pytest.approx(0.2)
 
     def test_pair_stored_on_one_side_only(self, store):
-        other = SimilarityScores()
-        other.set("new", "pair", 0.3)
+        other = ArraySimilarityScores.from_pairs({("new", "pair"): 0.3})
         assert store.max_difference(other) == pytest.approx(0.8)
 
 
@@ -135,7 +128,7 @@ class TestConstruction:
         store = ArraySimilarityScores.from_dense(np.zeros((0, 0)), [])
         assert len(store) == 0
         assert list(store.pairs()) == []
-        assert store.max_difference(SimilarityScores()) == 0.0
+        assert store.max_difference(ArraySimilarityScores.from_pairs({})) == 0.0
 
     def test_shape_index_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -190,27 +183,38 @@ class TestExplicitZeros:
         assert clone.nonzero_count() == store.nonzero_count() == 1
         assert clone.max_difference(store) == 0.0
 
-    def test_nonzero_count_matches_dict_store_semantics(self, store, dict_store):
-        assert store.nonzero_count() == dict_store.nonzero_count()
+    def test_nonzero_count_counts_stored_pairs(self, store):
+        assert store.nonzero_count() == len(STORE_PAIRS)
 
 
-class TestDictArrayConversion:
-    """SimilarityScores.to_array / from_array (the snapshot bridge)."""
+class TestFromPairs:
+    """ArraySimilarityScores.from_pairs: the node-pair methods' constructor."""
 
-    def test_to_array_preserves_every_read(self, dict_store):
-        array = dict_store.to_array()
-        assert array.max_difference(dict_store) == 0.0
-        assert array.top("q", k=3) == dict_store.top("q", k=3)
-        assert array.nonzero_count() == dict_store.nonzero_count()
-        assert sorted(array.nodes(), key=repr) == sorted(dict_store.nodes(), key=repr)
+    def test_reads_match_the_dense_built_store(self, store):
+        built = ArraySimilarityScores.from_pairs(STORE_PAIRS)
+        assert built.max_difference(store) == 0.0
+        assert built.top("q", k=3) == store.top("q", k=3)
+        assert built.neighbors("x") == store.neighbors("x")
+        assert len(built) == built.nonzero_count() == 4
 
-    def test_round_trip_is_lossless(self, dict_store):
-        round_tripped = SimilarityScores.from_array(dict_store.to_array())
-        assert round_tripped.max_difference(dict_store) == 0.0
-        assert len(round_tripped) == len(dict_store)
-        assert round_tripped.neighbors("q") == dict_store.neighbors("q")
+    def test_index_is_the_paired_nodes_sorted_by_repr(self):
+        built = ArraySimilarityScores.from_pairs({("b", 2): 0.5, (1, "a"): 0.25})
+        assert built.index == sorted([1, 2, "a", "b"], key=repr)
 
-    def test_empty_conversion(self):
-        array = SimilarityScores().to_array()
-        assert len(array) == 0
-        assert len(SimilarityScores.from_array(array)) == 0
+    def test_later_orientation_wins_instead_of_summing(self):
+        built = ArraySimilarityScores.from_pairs({("a", "b"): 0.5, ("b", "a"): 0.3})
+        assert built.score("a", "b") == built.score("b", "a") == 0.3
+        assert len(built) == 1
+
+    def test_self_pairs_and_zeros_are_not_stored(self):
+        built = ArraySimilarityScores.from_pairs(
+            {("a", "a"): 0.9, ("a", "b"): 0.4, ("c", "d"): 0.0}
+        )
+        assert list(built.pairs()) == [("a", "b", 0.4)]
+        assert built.index == ["a", "b"]
+
+    def test_empty(self):
+        built = ArraySimilarityScores.from_pairs({})
+        assert len(built) == 0
+        assert built.index == []
+        assert list(built.pairs()) == []

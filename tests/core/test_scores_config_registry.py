@@ -9,90 +9,95 @@ from repro.core.convergence import (
     theoretical_residual_bound,
 )
 from repro.api.registry import PAPER_METHODS, available_methods, create
-from repro.core.scores import SimilarityScores
+from repro.core.scores_array import ArraySimilarityScores
 from repro.core.similarity_base import QuerySimilarityMethod
 from repro.graph.click_graph import WeightSource
 
 
-class TestSimilarityScores:
+class TestFromPairsStore:
+    """The read interface of stores built from node-pair scores."""
+
     def test_identity_and_missing_pairs(self):
-        scores = SimilarityScores()
+        scores = ArraySimilarityScores.from_pairs({})
         assert scores.score("a", "a") == 1.0
         assert scores.score("a", "b") == 0.0
 
     def test_set_and_symmetry(self):
-        scores = SimilarityScores()
-        scores.set("a", "b", 0.4)
+        scores = ArraySimilarityScores.from_pairs({("a", "b"): 0.4, ("a", "a"): 0.9})
         assert scores.score("b", "a") == 0.4
-        scores.set("a", "a", 0.9)  # ignored
-        assert scores.score("a", "a") == 1.0
+        assert scores.score("a", "a") == 1.0  # self-pairs are ignored
 
     def test_top_is_sorted_and_thresholded(self):
-        scores = SimilarityScores({("q", "x"): 0.2, ("q", "y"): 0.8, ("q", "z"): 0.5})
+        scores = ArraySimilarityScores.from_pairs(
+            {("q", "x"): 0.2, ("q", "y"): 0.8, ("q", "z"): 0.5}
+        )
         top = scores.top("q", k=2)
         assert [node for node, _ in top] == ["y", "z"]
         assert scores.top("q", k=5, minimum=0.6) == [("y", 0.8)]
 
     def test_top_tie_break_is_deterministic(self):
-        scores = SimilarityScores({("q", "b"): 0.5, ("q", "a"): 0.5})
+        scores = ArraySimilarityScores.from_pairs({("q", "b"): 0.5, ("q", "a"): 0.5})
         assert [node for node, _ in scores.top("q", k=2)] == ["a", "b"]
 
-    def test_top_heap_selection_matches_full_sort(self):
-        """Regression for the heapq rewrite: exact old ordering, ties included."""
+    def test_top_selection_matches_full_sort(self):
+        """Exact full-sort ordering, ties included."""
         values = {("q", f"n{i:02d}"): round(0.1 + (i * 7 % 13) / 20, 3) for i in range(40)}
         values[("q", "tie-b")] = values[("q", "tie-a")] = 0.9
-        scores = SimilarityScores(values)
+        scores = ArraySimilarityScores.from_pairs(values)
         row = [(other, value) for other, value in scores.neighbors("q").items()]
         row.sort(key=lambda pair: (-pair[1], repr(pair[0])))
         for k in (1, 3, 5, 41, 0):
             assert scores.top("q", k=k) == row[:k]
 
     def test_pairs_iterates_each_pair_once(self):
-        scores = SimilarityScores({("a", "b"): 0.1, ("b", "c"): 0.2})
+        scores = ArraySimilarityScores.from_pairs({("a", "b"): 0.1, ("b", "c"): 0.2})
         pairs = list(scores.pairs())
         assert len(pairs) == 2
         assert len(scores) == 2
 
     def test_pairs_yields_each_unordered_pair_exactly_once(self):
-        """Regression for the insertion-order rewrite of ``pairs``."""
-        scores = SimilarityScores()
         nodes = [f"n{i}" for i in range(8)] + [(1, 2), (2, 1), frozenset({"x"})]
+        values = {}
         expected = {}
         for i, first in enumerate(nodes):
             for second in nodes[i + 1:]:
                 value = 0.01 * (hash((i, repr(second))) % 50 + 1)
-                scores.set(first, second, value)
+                values[(first, second)] = value
                 expected[frozenset((first, second))] = value
-        emitted = list(scores.pairs())
+        emitted = list(ArraySimilarityScores.from_pairs(values).pairs())
         assert len(emitted) == len(expected)
         assert {frozenset((a, b)) for a, b, _ in emitted} == set(expected)
         for first, second, value in emitted:
             assert expected[frozenset((first, second))] == pytest.approx(value)
 
-    def test_pairs_after_discard(self):
-        scores = SimilarityScores({("a", "b"): 0.1, ("b", "c"): 0.2})
-        scores.discard("a", "b")
+    def test_a_later_zero_removes_the_pair(self):
+        scores = ArraySimilarityScores.from_pairs(
+            {("a", "b"): 0.1, ("b", "c"): 0.2, ("b", "a"): 0.0}
+        )
         assert [frozenset((a, b)) for a, b, _ in scores.pairs()] == [frozenset(("b", "c"))]
+        assert scores.index == ["b", "c"]
 
     def test_max_difference_and_copy(self):
-        first = SimilarityScores({("a", "b"): 0.5})
-        second = first.copy()
-        second.set("a", "b", 0.7)
-        second.set("c", "d", 0.1)
+        first = ArraySimilarityScores.from_pairs({("a", "b"): 0.5})
+        second = ArraySimilarityScores.from_pairs({("a", "b"): 0.7, ("c", "d"): 0.1})
         assert first.max_difference(second) == pytest.approx(0.2)
+        assert first.copy().max_difference(first) == 0.0
         assert first.score("c", "d") == 0.0
 
-    def test_scaled_by(self):
-        scores = SimilarityScores({("a", "b"): 0.5, ("c", "d"): 0.4})
-        scaled = scores.scaled_by({("a", "b"): 0.5})
+    def test_per_pair_rescaling(self):
+        scores = ArraySimilarityScores.from_pairs({("a", "b"): 0.5, ("c", "d"): 0.4})
+        factors = {("a", "b"): 0.5}
+        scaled = ArraySimilarityScores.from_pairs(
+            {(a, b): value * factors.get((a, b), 1.0) for a, b, value in scores.pairs()}
+        )
         assert scaled.score("a", "b") == pytest.approx(0.25)
         assert scaled.score("c", "d") == pytest.approx(0.4)
 
-    def test_discard_and_nonzero_count(self):
-        scores = SimilarityScores({("a", "b"): 0.5, ("c", "d"): 0.0})
+    def test_zero_pairs_and_nonzero_count(self):
+        scores = ArraySimilarityScores.from_pairs({("a", "b"): 0.5, ("c", "d"): 0.0})
         assert scores.nonzero_count() == 1
-        scores.discard("a", "b")
-        assert scores.score("a", "b") == 0.0
+        assert scores.score("c", "d") == 0.0
+        assert scores.index == ["a", "b"]
 
 
 class TestSimrankConfig:

@@ -21,7 +21,7 @@ from backend_matrix import CONFIGS, MODES, SCENARIOS, TOLERANCE
 from repro.api.config import EngineConfig
 from repro.api.engine import RewriteEngine
 from repro.api.registry import SIMRANK_BACKENDS, available_backends, create
-from repro.core.scores import SimilarityScores
+from repro.core.scores_array import ArraySimilarityScores
 
 
 def _fit_all_backends(method_name, graph, config):
@@ -158,7 +158,7 @@ def test_scenarios_and_backends_are_nontrivial():
 
 
 def scores_something(graph) -> bool:
-    scores: SimilarityScores = (
+    scores: ArraySimilarityScores = (
         create("simrank", backend="sharded").fit(graph).similarities()
     )
     return len(scores) > 0

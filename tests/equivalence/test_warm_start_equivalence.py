@@ -93,16 +93,14 @@ def test_warm_start_converges_in_fewer_iterations(backend):
 
 
 @pytest.mark.parametrize("backend", ["matrix", "sparse"])
-def test_dict_backed_seed_is_accepted(backend):
-    """A reference fit's dict-backed store seeds the array engines too.
+def test_reference_backend_seed_is_accepted(backend):
+    """A reference fit's store seeds the matrix engines too.
 
     This is the cross-backend warm-start path (e.g. seeding a matrix refit
-    from a snapshot of a reference engine): ``_seed_triplets`` falls back to
-    the ``pairs()`` protocol when the store has no matrix/index.
+    from a snapshot of a reference engine).
     """
     old, new = perturbed_pair()
     previous = create("simrank", config=CONVERGED, backend="reference").fit(old)
-    assert not hasattr(previous.similarities(), "matrix")
 
     cold = create("simrank", config=CONVERGED, backend=backend).fit(new)
     warm = create("simrank", config=CONVERGED, backend=backend)

@@ -7,6 +7,7 @@ import pytest
 from repro.api.config import EngineConfig
 from repro.api.engine import RewriteEngine
 from repro.api.snapshot import SnapshotError
+from repro.api.sources import resolve_engine_source
 from repro.core import faults
 from repro.core.config import SimrankConfig
 from repro.serving.resilience import (
@@ -16,13 +17,7 @@ from repro.serving.resilience import (
     CircuitBreaker,
     RetryPolicy,
     classify_health,
-    load_engine_with_fallback,
 )
-
-
-# load_engine_with_fallback is itself the deprecated shim under test here;
-# its DeprecationWarning is expected, not a failure.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 class FakeClock:
@@ -174,14 +169,20 @@ def _build_engine(graph):
     return RewriteEngine.from_graph(graph, config).fit()
 
 
-class TestLoadEngineWithFallback:
+def load_with_fallback(path, warn=None):
+    """``(engine, path actually loaded)`` through the snapshot front door."""
+    resolved = resolve_engine_source(snapshot=path, warn=warn)
+    return resolved.engine, resolved.origin
+
+
+class TestSnapshotSiblingFallback:
     def test_loads_the_requested_snapshot_when_healthy(
         self, small_weighted_graph, tmp_path
     ):
         engine = _build_engine(small_weighted_graph)
         target = tmp_path / "good"
         engine.save(target)
-        loaded, used = load_engine_with_fallback(target)
+        loaded, used = load_with_fallback(target)
         assert used == target
         assert loaded.is_fitted
 
@@ -204,7 +205,7 @@ class TestLoadEngineWithFallback:
         ):
             engine.save(corrupt)
         warnings = []
-        loaded, used = load_engine_with_fallback(corrupt, warn=warnings.append)
+        loaded, used = load_with_fallback(corrupt, warn=warnings.append)
         assert used == newer  # manifest mtime orders the candidates
         assert loaded.is_fitted
         assert any("failed to load" in message for message in warnings)
@@ -213,7 +214,7 @@ class TestLoadEngineWithFallback:
     def test_reraises_original_error_when_no_sibling_loads(self, tmp_path):
         missing = tmp_path / "nothing-here"
         with pytest.raises(SnapshotError, match="no engine snapshot"):
-            load_engine_with_fallback(missing)
+            load_with_fallback(missing)
 
     def test_skips_unloadable_siblings(self, small_weighted_graph, tmp_path):
         engine = _build_engine(small_weighted_graph)
@@ -225,7 +226,7 @@ class TestLoadEngineWithFallback:
             engine.save(tmp_path / "torn-a")
             engine.save(tmp_path / "torn-b")
         warnings = []
-        loaded, used = load_engine_with_fallback(
+        loaded, used = load_with_fallback(
             tmp_path / "torn-b", warn=warnings.append
         )
         assert used == good

@@ -263,7 +263,7 @@ async def raw_exchange(address, request: bytes):
 
 
 class TestMalformedFraming:
-    """Framing errors answer 400 and close; the server keeps serving."""
+    """Framing errors answer 4xx and close; the server keeps serving."""
 
     @pytest.mark.parametrize(
         "request_bytes",
@@ -287,6 +287,35 @@ class TestMalformedFraming:
         assert head.startswith("HTTP/1.1 400 ")
         assert "Connection: close" in head
         assert status == 200 and health["fitted"] is True
+
+    def test_header_line_flood_answers_431_then_next_connection_served(self, engine):
+        headers = b"".join(b"X-Flood-%d: v\r\n" % i for i in range(1000))
+        flood = b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+
+        async def scenario():
+            async with RewriteServer(EngineHolder(engine)) as server:
+                response = await raw_exchange(server.address, flood)
+                health = await request_once(*server.address, "GET", "/healthz")
+                return response, health
+
+        response, (status, health) = run(scenario())
+        head = response.split(b"\r\n\r\n", 1)[0].decode("latin-1")
+        assert head.startswith("HTTP/1.1 431 ")
+        assert "Connection: close" in head
+        assert status == 200 and health["fitted"] is True
+
+    def test_header_lines_up_to_the_cap_are_served(self, engine):
+        headers = b"".join(b"X-Ok-%d: v\r\n" % i for i in range(99))
+        request = (
+            b"GET /healthz HTTP/1.1\r\n" + headers + b"Connection: close\r\n\r\n"
+        )
+
+        async def scenario():
+            async with RewriteServer(EngineHolder(engine)) as server:
+                return await raw_exchange(server.address, request)
+
+        head = run(scenario()).split(b"\r\n\r\n", 1)[0].decode("latin-1")
+        assert head.startswith("HTTP/1.1 200 ")
 
 
 class TestShutdown:

@@ -17,7 +17,7 @@ def _rewrites(workload, graph, kind, queries):
         create("evidence_simrank", config=config),
         bid_terms={str(term) for term in workload.bid_terms},
     ).fit(graph)
-    return {query: tuple(rewriter.rewrites_for(query).candidates()) for query in queries}
+    return {query: tuple(rewriter.compute_rewrites(query).candidates()) for query in queries}
 
 
 def test_ablation_evidence_functions(benchmark, small_workload, harness_result):

@@ -22,7 +22,7 @@ def _evaluate(workload, graph, queries, method):
     relevant = 0
     total = 0
     for query in queries:
-        rewrites = rewriter.rewrites_for(query)
+        rewrites = rewriter.compute_rewrites(query)
         covered += bool(rewrites.covered)
         for rewrite in rewrites.rewrites:
             total += 1

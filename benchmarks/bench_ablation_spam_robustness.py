@@ -40,7 +40,7 @@ def _precision(workload, graph, queries, method_name):
     judge = EditorialJudge(workload)
     relevant, total = 0, 0
     for query in queries:
-        for rewrite in rewriter.rewrites_for(query).rewrites:
+        for rewrite in rewriter.compute_rewrites(query).rewrites:
             total += 1
             relevant += judge.grade(query, rewrite.rewrite) <= 2
     return relevant / total if total else 0.0

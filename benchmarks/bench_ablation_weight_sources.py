@@ -23,7 +23,7 @@ def _precision_at_5(workload, graph, queries, source):
     relevant = 0
     total = 0
     for query in queries:
-        for rewrite in rewriter.rewrites_for(query).rewrites:
+        for rewrite in rewriter.compute_rewrites(query).rewrites:
             total += 1
             relevant += judge.grade(query, rewrite.rewrite) <= 2
     return relevant / total if total else 0.0

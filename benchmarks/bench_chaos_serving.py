@@ -111,7 +111,6 @@ def build_engine() -> RewriteEngine:
         method="weighted_simrank",
         backend="sharded",
         similarity=SIMILARITY,
-        cache_size=128,
         # A real process pool, so crash faults kill a real worker and the
         # serving path exercises PR 7's cancel-and-restore shard logic.
         n_jobs=2,

@@ -80,10 +80,6 @@ GRAPH_PARAMS = dict(
     seed=23,
 )
 
-#: Bounded below the 180-query universe, so the Zipf cold tail actually
-#: exercises eviction + recompute under concurrent serving.
-CACHE_SIZE = 128
-
 SERVER = ServerConfig(max_batch_size=16, batch_linger_ms=0.5, max_concurrency=4)
 
 ARTIFACT_PATH = Path(__file__).resolve().parent / "BENCH_serving_load.json"
@@ -95,7 +91,6 @@ def build_engine() -> RewriteEngine:
         method="weighted_simrank",
         backend="sharded",
         similarity=SIMILARITY,
-        cache_size=CACHE_SIZE,
     )
     bid_terms = {str(query) for query in graph.queries()}
     return RewriteEngine.from_graph(graph, config, bid_terms=bid_terms).fit()
@@ -198,7 +193,6 @@ async def run_phases() -> dict:
             "queries": engine.graph.num_queries,
             "ads": engine.graph.num_ads,
             "edges": engine.graph.num_edges,
-            "cache_size": CACHE_SIZE,
         },
         "baseline": baseline.to_dict(),
         "under_refresh": under_refresh.to_dict(),

@@ -40,17 +40,16 @@ independent components on a worker pool: ``n_jobs=-1`` means one worker per
 process pool (true multi-core for heavy shards) or ``"auto"`` to size that
 choice from the planned work.
 
-Snapshots and the serving cache
+Snapshots and the serving table
 -------------------------------
 
 Whatever the backend, the offline fit survives process restarts:
 ``engine.save(path)`` persists the score store + config + bid terms and
 ``RewriteEngine.load(path)`` revives a servable engine without re-running
 the fixpoint (identical rewrite lists -- the CI-gated claim of
-``benchmarks/bench_engine_snapshot.py``).  Online, the serving cache is
-bounded with ``EngineConfig(cache_size=N)`` (LRU eviction, counted in
-``cache_info().evictions``; ``None`` keeps every entry for the paper's
-full-precompute mode).
+``benchmarks/bench_engine_snapshot.py``).  Online, the engine serves from one
+table of rewrite lists, filled on first lookup; only queries with a row in
+the fitted score store get an entry, so the table is bounded by the fit.
 
 Incremental refresh
 -------------------
@@ -162,7 +161,7 @@ def main() -> None:
             )
     print(format_table(rows, title="Top rewrites per method"))
 
-    # One engine end-to-end: similarity lookups, explanations, cache stats.
+    # One engine end-to-end: similarity lookups, explanations, table stats.
     config = EngineConfig(method="weighted_simrank", similarity=similarity)
     engine = RewriteEngine.from_graph(graph, config, bid_terms=bid_terms).fit()
     print()
@@ -177,10 +176,10 @@ def main() -> None:
         f"rank={explanation.rank}, similarity={explanation.similarity:.4f}"
     )
 
-    engine.precompute()  # warm every query offline, like the paper's deployment
+    engine.precompute()  # fill every query offline, like the paper's deployment
     engine.rewrite_batch(["camera", "pc", "flower", "camera", "pc", "flower"])
     info = engine.cache_info()
-    print(f"serving cache: {info.size} entries, hit rate {info.hit_rate:.0%}")
+    print(f"serving table: {info.size} entries, hit rate {info.hit_rate:.0%}")
 
     # The same engine on the sharded backend: this toy graph already has three
     # connected components (cameras/PCs/laptops, TVs, flowers), so the fixpoint
@@ -219,7 +218,7 @@ def main() -> None:
     print(f"auto backend:    {plan.summary()}")
 
     # Offline -> online persistence: snapshot the fitted engine, revive it in
-    # a "new process" without refitting, and serve with a bounded LRU cache.
+    # a "new process" without refitting.
     with tempfile.TemporaryDirectory() as workdir:
         snapshot = engine.save(Path(workdir) / "weighted-engine")
         served = RewriteEngine.load(snapshot)
@@ -228,15 +227,6 @@ def main() -> None:
             f"snapshot reload (no refit): rewrite('camera') -> "
             f"{[r.rewrite for r in served.rewrite('camera').rewrites]}"
         )
-    online = RewriteEngine.from_graph(
-        graph, config.replace(cache_size=2), bid_terms=bid_terms
-    ).fit()
-    online.rewrite_batch(["camera", "pc", "flower", "camera"])  # 3rd insert evicts
-    info = online.cache_info()
-    print(
-        f"bounded serving cache (capacity {info.capacity}): {info.size} entries, "
-        f"{info.evictions} eviction(s), hit rate {info.hit_rate:.0%}"
-    )
 
     # Incremental refresh: the click graph moves (a camera ad gets hot, a
     # stale flower edge ages out), and the fitted engine follows without a
@@ -265,7 +255,7 @@ def main() -> None:
     print(
         f"refresh({delta!r}): {live.method.reused_shards} shards reused, "
         f"{live.method.refitted_shards} refit; {refresh.invalidated_entries} of "
-        f"{refresh.affected_queries} affected cache entries invalidated"
+        f"{refresh.affected_queries} affected table entries invalidated"
     )
     print(
         f"rewrite('camera') after refresh -> "

@@ -39,7 +39,6 @@ def fit_offline() -> RewriteEngine:
     config = EngineConfig(
         method="weighted_simrank",
         similarity=SimrankConfig(iterations=10, tolerance=1e-8),
-        cache_size=256,
     )
     return RewriteEngine.from_graph(
         workload.click_graph, config, bid_terms=workload.bid_terms

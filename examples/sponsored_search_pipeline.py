@@ -94,7 +94,7 @@ def main() -> None:
         f"({expanded_report.expansion_rate:.0%}), CTR {expanded_report.click_through_rate:.3f}"
     )
     info = engine.cache_info()
-    print(f"engine cache: {info.size} entries, hit rate {info.hit_rate:.0%}")
+    print(f"serving table: {info.size} entries, hit rate {info.hit_rate:.0%}")
 
     judge = EditorialJudge(workload)
     rows = []

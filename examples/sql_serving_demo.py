@@ -10,7 +10,7 @@ into a single SQLite file and serves from it:
    :meth:`RewriteEngine.export_store` -- one indexed, read-only SQLite
    file, typically a fraction of the full snapshot's resident footprint;
 3. **verify** a store-backed engine (:meth:`RewriteEngine.from_store`)
-   serves *byte-identical* rewrites through the same LRU cache;
+   serves *byte-identical* rewrites, one store lookup per query;
 4. **serve** it over HTTP and read the store's lookup counters off
    ``/stats``;
 5. **show the guard rails**: store-backed engines are serving-only --
@@ -41,7 +41,6 @@ def fit_offline() -> RewriteEngine:
     config = EngineConfig(
         method="weighted_simrank",
         similarity=SimrankConfig(iterations=10, tolerance=1e-8),
-        cache_size=256,
     )
     return RewriteEngine.from_graph(
         workload.click_graph, config, bid_terms=workload.bid_terms
@@ -85,7 +84,7 @@ def main() -> None:
         print(
             f"2. exported {store_path.name}: {store_path.stat().st_size:,} bytes "
             f"on disk (snapshot: {directory_bytes(snapshot_dir):,}); the win is "
-            "resident memory -- serving reads stay O(cache), the score matrix "
+            "resident memory -- serving reads are point lookups, the score matrix "
             "never loads (benchmarks/bench_sql_serving.py measures the gap)"
         )
 

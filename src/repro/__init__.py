@@ -9,8 +9,8 @@ Yahoo!-like workload generator, a simulated editorial judge and the complete
 evaluation harness that regenerates the paper's tables and figures.
 
 The serving front door is :class:`~repro.api.engine.RewriteEngine`: fit a
-similarity method on a click graph once (offline), then serve cached,
-filtered top-k rewrite lists (online).
+similarity method on a click graph once (offline), then serve filtered
+top-k rewrite lists from one serving table (online).
 
 Quickstart::
 
@@ -44,6 +44,25 @@ revives a serving-only engine answering byte-equal rewrites via indexed
 point lookups (see :mod:`repro.store`);
 :func:`~repro.api.sources.resolve_engine_source` is the one front door
 over store / snapshot / fresh-fit engine construction.
+
+Migrating to 3.0
+----------------
+
+3.0 keeps one serving cache: the engine's table of per-query rewrite lists,
+which holds at most one entry per row of the fitted score store.
+
+* ``EngineConfig(cache_size=N)`` -> drop the argument; the table is bounded
+  by the fit, not by a knob.  ``EngineConfig.from_dict`` still accepts and
+  discards a recorded ``cache_size``, so 1.x/2.0 snapshots and serving
+  stores keep loading.
+* ``CacheInfo.evictions`` / ``CacheInfo.capacity`` -> gone; ``CacheInfo``
+  reports ``hits``, ``misses`` and ``size``.
+* ``QueryRewriter.rewrites_for(query)`` ->
+  ``QueryRewriter.compute_rewrites(query)`` (the rewriter memoizes nothing;
+  serve through :class:`~repro.api.engine.RewriteEngine` for a table).
+* ``InMemoryServingStore.from_engine(engine)`` (``repro.store.memory``) ->
+  serve the fitted ``engine`` itself, or export a store with
+  ``engine.export_store(path)``.
 
 Migrating to 2.0
 ----------------
@@ -95,7 +114,6 @@ from repro.graph import (
     WeightSource,
 )
 from repro.store import (
-    InMemoryServingStore,
     ServingOnlyEngineError,
     ServingStore,
     SqliteServingStore,
@@ -103,7 +121,7 @@ from repro.store import (
 )
 from repro.synth import generate_workload, yahoo_like_workload
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "EngineConfig",
@@ -113,7 +131,6 @@ __all__ = [
     "available_methods",
     "register_method",
     "resolve_engine_source",
-    "InMemoryServingStore",
     "ServingOnlyEngineError",
     "ServingStore",
     "SqliteServingStore",

@@ -80,12 +80,11 @@ GUARDED_BY: Dict[str, Dict[str, str]] = {
         "_spec_fired": "_lock",
         "fired": "_lock",
     },
-    # repro/api/engine.py -- the serving cache and its counters.
+    # repro/api/engine.py -- the serving table and its counters.
     "RewriteEngine": {
-        "_cache": "_cache_lock",
+        "_table": "_cache_lock",
         "_hits": "_cache_lock",
         "_misses": "_cache_lock",
-        "_evictions": "_cache_lock",
     },
     # repro/store/sqlite.py -- one shared connection, so every point
     # lookup (and the counters it bumps) serialises on the store lock.

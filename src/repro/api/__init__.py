@@ -9,8 +9,8 @@ This package is the single front door to the library for serving workloads:
   configuration object unifying the SimRank parameters with the rewrite
   front-end knobs (bid-term filtering, dedup, candidate pool, max rewrites).
 * :class:`~repro.api.engine.RewriteEngine` -- the fit -> serve facade: fit a
-  similarity method on a click graph once (offline), then serve cached top-k
-  rewrite lists with O(1) repeated lookups (online), matching the paper's
+  similarity method on a click graph once (offline), then serve top-k
+  rewrite lists from one serving table with O(1) repeated lookups (online), matching the paper's
   offline-computation / online-serving deployment story (Section 9.3).
 
 Choosing a backend
@@ -92,7 +92,7 @@ Every method and backend serves scores through one container,
 :class:`~repro.core.scores_array.ArraySimilarityScores`, which wraps the
 final score matrix directly.
 
-Snapshots and the serving cache
+Snapshots and the serving table
 -------------------------------
 
 The fit -> serve split survives process restarts: ``engine.save(path)``
@@ -117,7 +117,7 @@ cold path.  ``engine.refresh(delta)`` takes a
 :class:`~repro.graph.delta.DeltaBuilder`), applies it to the bound graph,
 refits warm-started from the current scores -- the sharded backend refits
 *only* the components an edge change touched and reuses the rest verbatim
--- and invalidates only the cached rewrite lists whose results could have
+-- and drops only the serving-table entries whose results could have
 changed.  Snapshots double as warm-start seeds:
 :func:`~repro.api.snapshot.warm_start_from_snapshot` (or
 ``RewriteEngine.load(path).fit(graph, warm_start=True)``) refits a revived
@@ -125,12 +125,11 @@ engine on a moved graph in a handful of iterations.
 ``benchmarks/bench_engine_refresh.py`` gates refresh at >= 5x faster than
 a cold refit on a delta touching <= 10% of components.
 
-Online serving no longer requires an unbounded cache:
-``EngineConfig(cache_size=N)`` bounds the serving cache to ``N`` rewrite
-lists with least-recently-used eviction (``None``, the default, keeps every
-entry -- the paper's full-precompute mode).  Evictions are counted in
-``CacheInfo.evictions``; an evicted query costs one recompute on its next
-sighting and never a different result.
+The engine's one serving table holds at most one rewrite list per row of
+the fitted score store: a query is computed on its first lookup and then
+served from the table, while queries without a score row get an empty list
+and no entry.  The table is therefore bounded by the fit, not by the
+traffic, and needs no size knob.
 
 Serving stores and the engine-source resolver
 ---------------------------------------------
@@ -141,8 +140,8 @@ into a single-file SQLite serving store (ranked inside the database by a
 window-function query under the exact in-memory tie-break, then filtered
 by the real Section 9.3 pipeline -- :mod:`repro.store`), and
 ``RewriteEngine.from_store(path)`` revives a serving-only engine that
-answers byte-equal rewrite lists via indexed point lookups with O(cache)
-resident memory.  :func:`repro.api.sources.resolve_engine_source` is the
+answers byte-equal rewrite lists via indexed point lookups, keeping no
+table of its own.  :func:`repro.api.sources.resolve_engine_source` is the
 one front door over every engine source -- serving store, snapshot
 directory (with crash-safe sibling fallback) or fresh fit -- used by the
 serving CLI and the eval harness alike.

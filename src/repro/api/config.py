@@ -74,12 +74,6 @@ class EngineConfig:
     bid_filtering:
         Drop rewrites outside the bid-term set when the engine is given one;
         disabling serves unfiltered rewrites even when bid terms are known.
-    cache_size:
-        Maximum number of rewrite lists the serving cache retains, with
-        least-recently-used eviction beyond it.  ``None`` (the default)
-        keeps every entry -- the paper's full-precompute deployment mode.
-        Eviction never changes served results, only the recompute cost of
-        re-seeing an evicted query; see ``CacheInfo.evictions``.
     n_jobs:
         Worker count for parallel shard fits (sharded/auto backends): a
         positive integer, or ``-1`` for one worker per *available* CPU
@@ -98,7 +92,6 @@ class EngineConfig:
     min_score: float = 0.0
     deduplicate: bool = True
     bid_filtering: bool = True
-    cache_size: Optional[int] = None
     n_jobs: int = 1
     executor: str = "auto"
 
@@ -115,11 +108,6 @@ class EngineConfig:
             )
         if self.min_score < 0:
             raise ConfigError(f"min_score must be >= 0, got {self.min_score}")
-        if self.cache_size is not None and self.cache_size < 1:
-            raise ConfigError(
-                "cache_size must be a positive integer or None (unbounded), "
-                f"got {self.cache_size}"
-            )
         if self.n_jobs == 0 or self.n_jobs < -1:
             raise ConfigError(
                 f"n_jobs must be a positive integer or -1 (all CPUs), got {self.n_jobs}"
@@ -181,7 +169,6 @@ class EngineConfig:
             "min_score": self.min_score,
             "deduplicate": self.deduplicate,
             "bid_filtering": self.bid_filtering,
-            "cache_size": self.cache_size,
             "n_jobs": self.n_jobs,
             "executor": self.executor,
         }
@@ -191,9 +178,13 @@ class EngineConfig:
         """Rebuild a validated configuration from :meth:`to_dict` output.
 
         Unknown keys raise :class:`ValueError` so typos in config files fail
-        loudly instead of silently falling back to defaults.
+        loudly instead of silently falling back to defaults.  The one
+        exception is ``cache_size``, the serving-cache bound removed in 3.0:
+        every 1.x/2.0 snapshot manifest and store records it, so it is
+        discarded to keep those files loading.
         """
         data = dict(payload)
+        data.pop("cache_size", None)
         similarity_payload = data.pop("similarity", {})
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:

@@ -3,48 +3,50 @@
 The paper's deployment story (Section 9.3) computes rewrites offline and
 serves them online; :class:`RewriteEngine` is that split as an API.  ``fit``
 is the expensive analytics step (SimRank fixpoint over the click graph);
-``rewrite`` / ``rewrite_batch`` are the latency-critical serving steps, which
-cache each query's filtered top-k rewrite list so repeated calls are O(1)
-dictionary lookups instead of O(V) similarity scans.
+``rewrite`` / ``rewrite_batch`` are the latency-critical serving steps.  They
+answer from one serving table -- a dictionary of per-query filtered top-k
+rewrite lists, filled on a query's first lookup -- so repeated calls are O(1)
+dictionary lookups instead of O(V) similarity scans.  Only queries with a row
+in the fitted score store get an entry, so the table never outgrows the fit
+whatever traffic arrives.
 
 Typical lifecycle::
 
     engine = RewriteEngine.from_graph(graph, EngineConfig(method="weighted_simrank"),
                                       bid_terms=bid_terms).fit()
     engine.rewrite("camera")                  # RewriteList, computed once
-    engine.rewrite_batch(traffic)             # cached after first sight
+    engine.rewrite_batch(traffic)             # table lookups after first sight
     engine.explain("camera", "digital camera")  # why (not) proposed?
 
 The offline fit survives process restarts: ``engine.save(path)`` writes a
 snapshot (score store + config + bid terms, :mod:`repro.api.snapshot`) and
 ``RewriteEngine.load(path)`` revives a servable engine without re-running
-the fixpoint.  The serving cache is bounded by ``EngineConfig.cache_size``
-(LRU eviction; ``None`` keeps every entry for the paper's full-precompute
-mode).
+the fixpoint; ``precompute()`` fills its table up front, the paper's full
+offline pass.
 
 Serving can also run without the score matrix resident at all:
 ``engine.export_store(path)`` materializes the per-query rewrite lists
 into a single-file SQLite serving store (:mod:`repro.store`) and
 ``RewriteEngine.from_store(path)`` revives a *serving-only* engine that
-answers ``rewrite`` / ``rewrite_batch`` / ``expansions`` with indexed
-point lookups through the same LRU cache -- byte-equal results, resident
-memory O(cache) instead of O(nnz).  Store-backed engines cannot ``fit`` /
-``refresh`` / ``save`` / ``explain`` / ``export_store`` (those raise
+answers ``rewrite`` / ``rewrite_batch`` / ``expansions`` with one indexed
+point lookup per query and keeps no table -- byte-equal results, resident
+memory independent of the traffic and of nnz.  Store-backed engines cannot
+``fit`` / ``refresh`` / ``save`` / ``explain`` / ``export_store`` (those raise
 :class:`~repro.store.base.ServingOnlyEngineError`); refit the original
 engine and re-export instead.
 
 The fit also survives *graph change*: ``engine.refresh(delta)`` applies a
 :class:`~repro.graph.delta.ClickGraphDelta` to the bound graph, refits
-warm-started from the current scores and invalidates only the cache
-entries whose rewrites could differ -- the incremental path for click
-graphs that shift continuously under serving traffic.
+warm-started from the current scores and drops only the table entries
+whose rewrites could differ -- the incremental path for click graphs that
+shift continuously under serving traffic.
 
 Thread-safety contract
 ----------------------
 The *serving* reads -- ``rewrite`` / ``rewrite_batch`` / ``expansions`` /
 ``serving_profile`` -- are safe to call from multiple threads on one
 fitted engine: the similarity scan is a pure read of the fitted score
-store and the serving cache is guarded by an internal lock.  The
+store and the serving table is guarded by an internal lock.  The
 *control-plane* operations -- ``fit``, ``refresh``, ``precompute``,
 ``clear_cache``, ``save`` -- mutate engine state in multiple steps and
 must never run concurrently with each other or with serving reads on the
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import copy as _copy
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
@@ -85,18 +86,17 @@ PathLike = Union[str, Path]
 
 @dataclass(frozen=True)
 class CacheInfo:
-    """Serving-cache statistics since the last fit (or ``clear_cache``).
+    """Serving-table statistics since the last fit (or ``clear_cache``).
 
-    ``capacity`` is the configured LRU bound (``None`` = unbounded) and
-    ``evictions`` counts entries dropped to respect it; eviction never
-    changes served results, only whether a re-seen query costs a recompute.
+    ``size`` is the number of table entries, at most one per row of the
+    fitted score store.  ``hits`` counts lookups answered from the table
+    (batch duplicates included); ``misses`` counts the rest: table fills,
+    queries without a score row and store lookups.
     """
 
     hits: int
     misses: int
     size: int
-    evictions: int = 0
-    capacity: Optional[int] = None
 
     @property
     def hit_rate(self) -> float:
@@ -110,15 +110,14 @@ class RefreshInfo:
 
     ``affected_queries`` counts the queries whose rewrites could have
     changed (every query connected to a changed edge, in the graph state
-    before or after the delta); ``invalidated_entries`` of those were
-    actually cached and got dropped.  Invalidations are not evictions --
-    ``CacheInfo.evictions`` still counts only capacity-driven drops.  A
-    no-op (empty) delta skips the refit entirely: ``refit`` is False and
-    every cached entry survives.  ``warm_started`` reports whether the
-    refit was seeded with the previous scores; it is False when
-    ``SimrankConfig.tolerance`` is 0, where the fixpoint is defined as
-    exactly ``iterations`` steps from the identity and a seeded
-    continuation would compute a different (further-converged) result.
+    before or after the delta); ``invalidated_entries`` of those had a
+    table entry and got it dropped.  A no-op (empty) delta skips the refit
+    entirely: ``refit`` is False and every table entry survives.
+    ``warm_started`` reports whether the refit was seeded with the previous
+    scores; it is False when ``SimrankConfig.tolerance`` is 0, where the
+    fixpoint is defined as exactly ``iterations`` steps from the identity
+    and a seeded continuation would compute a different (further-converged)
+    result.
     """
 
     changes: int
@@ -149,7 +148,7 @@ class Explanation:
 
 
 class RewriteEngine:
-    """Single front door for query rewriting: fit once, serve cached top-k."""
+    """Single front door for query rewriting: fit once, serve top-k from a table."""
 
     def __init__(
         self,
@@ -190,9 +189,11 @@ class RewriteEngine:
         self._graph = graph
         #: What the most recent refresh(delta) call did (None before any).
         self.last_refresh: Optional[RefreshInfo] = None
+        #: The serving table: one rewrite list per looked-up query that has
+        #: a row in the fitted score store (empty for store-backed engines).
         #: guarded-by: _cache_lock
-        self._cache: "OrderedDict[Node, RewriteList]" = OrderedDict()
-        #: Guards the serving cache and its counters so concurrent
+        self._table: Dict[Node, RewriteList] = {}
+        #: Guards the serving table and its counters so concurrent
         #: ``rewrite`` calls from executor threads stay consistent; the
         #: control-plane operations (fit/refresh/precompute) are NOT made
         #: concurrency-safe by this lock -- see the module docstring.
@@ -201,11 +202,9 @@ class RewriteEngine:
         self._hits = 0
         #: guarded-by: _cache_lock
         self._misses = 0
-        #: guarded-by: _cache_lock
-        self._evictions = 0
         #: Snapshot-carried state (set by repro.api.snapshot.read_snapshot,
         #: superseded by a fresh fit): the fitted graph's query set -- so
-        #: precompute() on a revived engine warms exactly what the original
+        #: precompute() on a revived engine fills exactly what the original
         #: fitted engine would have -- and the recorded fit iteration count.
         self._precompute_universe: Optional[List[Node]] = None
         self._snapshot_iterations_run: Optional[int] = None
@@ -217,14 +216,14 @@ class RewriteEngine:
         #: Fit generation of the method at restore time; carried snapshot
         #: state is trusted only while the method still holds that fit.
         self._snapshot_state_generation: Optional[int] = None
-        #: The method fit generation the serving caches were built against;
+        #: The method fit generation the serving table was built against;
         #: an out-of-band method.fit()/restore() bumps the method's counter
-        #: and the next serve drops the stale caches (see _require_fitted).
+        #: and the next serve drops the stale table (see _require_fitted).
         self._served_generation: Optional[int] = None
         #: Serving source for store-backed engines (:meth:`from_store`);
-        #: when set, cache misses read materialized rewrite lists from the
-        #: store instead of running the similarity scan, and the
-        #: control-plane operations raise ServingOnlyEngineError.
+        #: when set, every lookup reads a materialized rewrite list from the
+        #: store (no table, no similarity scan), and the control-plane
+        #: operations raise ServingOnlyEngineError.
         self._store: Optional["ServingStore"] = None
 
     @classmethod
@@ -297,7 +296,8 @@ class RewriteEngine:
         """Run the offline analytics step: fit the similarity method.
 
         Fits on ``graph`` when given, otherwise on the graph bound by
-        :meth:`from_graph`.  Clears the serving cache.
+        :meth:`from_graph`.  Empties the serving table; it refills lazily,
+        one entry per first lookup.
 
         With ``warm_start=True`` the method's current query scores -- a
         previous fit's, or the store a snapshot :meth:`load` restored --
@@ -352,10 +352,10 @@ class RewriteEngine:
         warm-started from the current scores (the sharded backend
         additionally reuses every untouched component verbatim -- see
         :class:`~repro.core.simrank_sharded.ShardedSimrank`), and drops only
-        the cached rewrite lists whose results could have changed: the
-        queries connected to a changed edge, before or after the delta.
+        the table entries whose results could have changed: the queries
+        connected to a changed edge, before or after the delta.
         SimRank-family scores never cross component boundaries, so every
-        other cached entry still serves correct rewrites.  (With the
+        other entry still serves correct rewrites.  (With the
         matrix/sparse backends the surviving entries' *scores* may differ
         from a fresh recompute by up to the convergence tolerance; the
         sharded backend reuses untouched components' scores verbatim.)
@@ -364,12 +364,12 @@ class RewriteEngine:
         ``SimrankConfig.tolerance == 0`` the method's result is *defined*
         as exactly ``iterations`` Jacobi steps from the identity, and
         continuing from a seed would silently compute a further-converged,
-        different result -- so the refit is cold instead.  Selective cache
+        different result -- so the refit is cold instead.  Selective table
         invalidation stays exact there: the iteration never mixes
         components, so a cold refit reproduces untouched components'
         scores bit-identically.
 
-        An empty delta is a true no-op: no refit, every cache entry kept.
+        An empty delta is a true no-op: no refit, every table entry kept.
         What happened is recorded in :attr:`last_refresh`.  Raises
         ``RuntimeError`` on an unfitted engine or one revived from a
         snapshot (which carries no graph to apply the delta to -- use
@@ -382,7 +382,7 @@ class RewriteEngine:
         place across multiple steps -- the bound graph first, then (only
         after the full replacement score store has been computed -- see
         :meth:`~repro.core.similarity_base.QuerySimilarityMethod.fit`) the
-        published scores, then the serving cache -- so it must never run
+        published scores, then the serving table -- so it must never run
         concurrently with serving reads *on the same instance*: a reader
         interleaved between those steps could pair new-graph rewrites with
         old scores.  For zero-downtime refresh under live traffic, take
@@ -435,39 +435,37 @@ class RewriteEngine:
                 self.method.fit(self._graph)
         except BaseException:
             # A failed refit must not leave the engine half-refreshed: the
-            # scores, cache and last_refresh are still pre-delta, so put the
+            # scores, table and last_refresh are still pre-delta, so put the
             # graph back to match and let the caller see the error.
             self._graph.apply_delta(inverse)
             raise
-        self._rewriter.clear_cache()
         self._mark_fresh_fit()
-        invalidated = 0
         with self._cache_lock:
-            for query in [query for query in self._cache if query in affected]:
-                del self._cache[query]
-                invalidated += 1
+            stale = [query for query in self._table if query in affected]
+            for query in stale:
+                del self._table[query]
         self.last_refresh = RefreshInfo(
             changes=len(delta),
             affected_queries=len(affected),
-            invalidated_entries=invalidated,
+            invalidated_entries=len(stale),
             refit=True,
             warm_started=warm,
         )
         return self
 
     def copy(self) -> "RewriteEngine":
-        """An independent engine with the same fitted state and cache.
+        """An independent engine with the same fitted state and serving table.
 
         The copy shares nothing mutable with the original: the click graph,
         the fitted similarity method (scores, shard state) and the serving
-        cache are all duplicated, so mutating one engine -- ``refresh``,
-        ``fit``, cache churn -- never affects the other.  This is the
+        table are all duplicated, so mutating one engine -- ``refresh``,
+        ``fit``, table fills -- never affects the other.  This is the
         copy-on-write half of the zero-downtime serving swap: refresh the
         copy off to the side while the original keeps serving, then publish
         the copy atomically (see :class:`repro.serving.EngineHolder`).
 
-        Cached rewrite lists themselves are shared (they are immutable
-        value objects), which keeps the copy cheap relative to a refit.
+        The rewrite lists themselves are shared (they are never mutated),
+        which keeps the copy cheap relative to a refit.
         """
         clone = type(self)(config=self.config, bid_terms=self._bid_terms)
         memo: Dict[int, object] = {}
@@ -478,10 +476,9 @@ class RewriteEngine:
             memo[id(self._graph)] = clone._graph
         clone._rewriter = _copy.deepcopy(self._rewriter, memo)
         with self._cache_lock:
-            clone._cache = OrderedDict(self._cache)
+            clone._table = dict(self._table)
             clone._hits = self._hits
             clone._misses = self._misses
-            clone._evictions = self._evictions
         clone.last_refresh = self.last_refresh
         clone._precompute_universe = (
             list(self._precompute_universe)
@@ -525,68 +522,64 @@ class RewriteEngine:
     # --------------------------------------------------------------- serving
 
     def rewrite(self, query: Node) -> RewriteList:
-        """The filtered, ranked rewrites of one query (cached).
+        """The filtered, ranked rewrites of one query.
 
-        With ``config.cache_size=None`` (the default) the cache is unbounded
-        -- one entry per distinct query seen, including queries with no
-        rewrites -- matching the paper's offline full-precompute deployment.
-        A positive ``cache_size`` bounds it with least-recently-used
-        eviction for long-tail online traffic; eviction only ever costs a
-        recompute on the next sighting, never a different result.
+        A query with a row in the fitted score store is computed on its
+        first lookup and then served from the table until the next
+        :meth:`fit`, :meth:`clear_cache` or a :meth:`refresh` that affects
+        it.  Any other query, unhashable input included, gets a fresh empty
+        list, with no scan and no table entry, so a flood of unknown
+        queries cannot grow the table.
+        Store-backed engines keep no table: every call is one store lookup.
 
-        Safe to call from multiple threads: cache reads and inserts are
+        Safe to call from multiple threads: table reads and inserts are
         lock-guarded, and the similarity scan itself is a pure read of the
         fitted scores.  Two threads racing on the same cold query both
         compute the (identical, deterministic) result and the second insert
         is a harmless overwrite -- both count as misses.
         """
         self._require_fitted()
+        if self._store is not None:
+            with self._cache_lock:
+                self._misses += 1
+            return self._store.rewrites(query)
         with self._cache_lock:
-            cached = self._cache.get(query)
+            try:
+                cached = self._table.get(query)
+            except TypeError:  # unhashable: it has no score row either
+                cached = None
             if cached is not None:
                 self._hits += 1
-                if self.config.cache_size is not None:
-                    # Recency only matters when eviction can happen; the
-                    # unbounded hit path stays a read-only dictionary lookup.
-                    self._cache.move_to_end(query)
                 return cached
             self._misses += 1
-        # The engine is the single cache layer: misses bypass the rewriter's
-        # unbounded memo, otherwise the LRU bound would not bound anything.
+        if query not in self.method.similarities():
+            return RewriteList(query=query, rewrites=[])
         # Computed outside the lock -- this is the expensive part, and
         # holding the lock through it would serialize concurrent serving.
-        result = self._compute_rewrites(query)
+        result = self._rewriter.compute_rewrites(query)
         with self._cache_lock:
-            self._cache[query] = result
-            capacity = self.config.cache_size
-            if capacity is not None:
-                while len(self._cache) > capacity:
-                    self._cache.popitem(last=False)
-                    self._evictions += 1
+            self._table[query] = result
         return result
-
-    def _compute_rewrites(self, query: Node) -> RewriteList:
-        """One cache miss: the store's materialized list or a live scan."""
-        if self._store is not None:
-            return self._store.rewrites(query)
-        return self._rewriter.compute_rewrites(query)
 
     def rewrite_batch(self, queries: Sequence[Node]) -> List[RewriteList]:
         """Rewrite lists for a whole traffic batch, aligned with the input.
 
         Repeated queries within the batch are deduplicated: each unique
-        query hits the score store / serving cache exactly once and the
-        duplicates are served from a batch-local memo (micro-batched online
-        traffic makes duplicate-heavy batches the common case, and with a
-        bounded cache a duplicate re-seen after churn would otherwise pay a
-        full recompute).  Duplicate occurrences count as cache hits in
-        :meth:`cache_info` -- they are served without a similarity scan.
+        query is looked up once and the duplicates are served from a
+        batch-local memo (micro-batched online traffic makes
+        duplicate-heavy batches the common case, and a store-backed engine
+        would otherwise pay one store read per duplicate).  Duplicate
+        occurrences count as hits in :meth:`cache_info`.
         """
         memo: Dict[Node, RewriteList] = {}
         results: List[RewriteList] = []
         duplicates = 0
         for query in queries:
-            seen = memo.get(query)
+            try:
+                seen = memo.get(query)
+            except TypeError:  # unhashable: served by rewrite(), unmemoized
+                results.append(self.rewrite(query))
+                continue
             if seen is None:
                 seen = self.rewrite(query)
                 memo[query] = seen
@@ -618,89 +611,28 @@ class RewriteEngine:
         return [rewrite.rewrite for rewrite in self.rewrite(query).top(limit)]
 
     def precompute(self, queries: Optional[Iterable[Node]] = None) -> int:
-        """Warm the serving cache offline; returns the number of new entries.
+        """Fill the serving table offline; returns the number of new entries.
 
-        With no argument, precomputes every query of the fitted click graph
-        -- the paper's full offline pass.  On an engine revived from a
-        snapshot (no graph attached) it warms the snapshot's recorded query
-        universe -- the same set the fitted engine would have warmed -- or,
-        for snapshots without one, every query of the restored score store.
-
-        With a bounded cache, only the entries that would survive a full LRU
-        replay of the sequence are computed -- queries the replay would evict
-        on arrival are skipped outright, and already-cached survivors are
-        recency-refreshed.  The end-state cache matches the replay exactly,
-        without the compute-then-discard churn.
+        With no argument, fills it over :meth:`_serving_universe` -- the
+        paper's full offline pass.  Queries without a row in the fitted
+        score store get no entry, exactly as in :meth:`rewrite`.
+        Store-backed engines keep no table, so there it returns 0.
         """
         self._require_fitted()
+        if self._store is not None:
+            return 0
         if queries is None:
-            if self._store is not None:
-                queries = self._store.queries()
-            elif self._graph is not None:
-                queries = self._graph.queries()
-            elif (
-                self._precompute_universe is not None
-                and self._snapshot_state_fresh()
-            ):
-                queries = self._precompute_universe
-            else:
-                queries = self._score_store_queries()
-        capacity = self.config.cache_size
-        if capacity is not None:
-            return self._warm_bounded(queries, capacity)
-        warmed = 0
-        for query in queries:
-            # Membership check under the lock, rewrite() outside it: the
-            # lock is not reentrant and rewrite() takes it to fill the
-            # cache, so holding it across the call would self-deadlock.
-            with self._cache_lock:
-                cached = query in self._cache
-            if not cached:
-                self.rewrite(query)
-                warmed += 1
-        return warmed
-
-    def _warm_bounded(self, queries: Iterable[Node], capacity: int) -> int:
-        """Warm a bounded cache without computing entries that cannot survive.
-
-        A symbolic LRU replay over the current cache contents plus the
-        stream determines the end-state entries first; only those are then
-        computed (misses) or recency-refreshed (existing entries), in final
-        recency order, so the real cache finishes in exactly the state the
-        naive query-by-query replay would produce.
-        """
+            queries = self._serving_universe()
+        scores = self.method.similarities()
         with self._cache_lock:
-            simulated: "OrderedDict[Node, None]" = OrderedDict(
-                (query, None) for query in self._cache
-            )
-        for query in queries:
-            if query in simulated:
-                simulated.move_to_end(query)
-            else:
-                simulated[query] = None
-                if len(simulated) > capacity:
-                    simulated.popitem(last=False)
-        # Drop the entries the replay evicts *before* warming: otherwise an
-        # insertion mid-loop could push out a not-yet-refreshed survivor and
-        # force the recompute this path exists to avoid.
-        with self._cache_lock:
-            for query in [
-                query for query in self._cache if query not in simulated
-            ]:
-                del self._cache[query]
-                self._evictions += 1
-        warmed = 0
-        for query in simulated:
-            # Same split as precompute(): check-and-touch under the lock,
-            # rewrite() (which takes the lock itself) outside it.
-            with self._cache_lock:
-                cached = query in self._cache
-                if cached:
-                    self._cache.move_to_end(query)
-            if not cached:
-                self.rewrite(query)
-                warmed += 1
-        return warmed
+            missing = [
+                query
+                for query in dict.fromkeys(queries)
+                if query not in self._table and query in scores
+            ]
+        for query in missing:
+            self.rewrite(query)
+        return len(missing)
 
     def _snapshot_state_fresh(self) -> bool:
         """Whether snapshot-carried metadata still describes the held fit.
@@ -716,19 +648,14 @@ class RewriteEngine:
             == getattr(self.method, "_fit_generation", None)
         )
 
-    def _score_store_queries(self) -> List[Node]:
-        """Every query the fitted score store knows about (snapshot serving)."""
-        return self.method.similarities().index
-
     def _serving_universe(self) -> List[Node]:
         """Every query serving must answer, in deterministic (repr) order.
 
-        The fitted graph's query set when a graph is bound, the recorded
-        snapshot universe on a revived engine, the score store's queries as
-        the last resort -- the same precedence :meth:`precompute` uses.
-        Store exports (:meth:`export_store`,
-        :meth:`~repro.store.memory.InMemoryServingStore.from_engine`)
-        persist exactly this set as the store's query universe.
+        The store's queries on a store-backed engine; otherwise the fitted
+        graph's query set when a graph is bound, the recorded snapshot
+        universe on a revived engine, and the score store's rows as the
+        last resort.  :meth:`precompute` fills the table over this set and
+        :meth:`export_store` persists it as the store's query universe.
         """
         if self._store is not None:
             return self._store.queries()
@@ -737,7 +664,7 @@ class RewriteEngine:
         elif self._precompute_universe is not None and self._snapshot_state_fresh():
             universe = self._precompute_universe
         else:
-            universe = self._score_store_queries()
+            universe = self.method.similarities().index
         return sorted(universe, key=repr)
 
     # ----------------------------------------------------------- explanation
@@ -774,27 +701,19 @@ class RewriteEngine:
             candidates=decisions,
         )
 
-    # ------------------------------------------------------------ cache admin
+    # ------------------------------------------------------------ table admin
 
     def cache_info(self) -> CacheInfo:
-        """Hit/miss/eviction counters and current size of the serving cache."""
+        """Hit/miss counters and current size of the serving table."""
         with self._cache_lock:
-            return CacheInfo(
-                hits=self._hits,
-                misses=self._misses,
-                size=len(self._cache),
-                evictions=self._evictions,
-                capacity=self.config.cache_size,
-            )
+            return CacheInfo(hits=self._hits, misses=self._misses, size=len(self._table))
 
     def clear_cache(self) -> None:
-        """Drop all cached rewrite lists and reset every cache counter."""
+        """Empty the serving table and reset its counters."""
         with self._cache_lock:
-            self._cache.clear()
-            self._rewriter.clear_cache()
+            self._table.clear()
             self._hits = 0
             self._misses = 0
-            self._evictions = 0
 
     # ------------------------------------------------------------ persistence
 
@@ -820,8 +739,8 @@ class RewriteEngine:
 
         The restored engine serves identical rewrite lists to the engine
         that was saved; it carries no click graph, so :meth:`fit` requires
-        an explicit graph and :meth:`precompute` warms the snapshot's query
-        universe.
+        an explicit graph and :meth:`precompute` fills the table over the
+        snapshot's query universe.
         """
         from repro.api.snapshot import read_snapshot
 
@@ -835,8 +754,8 @@ class RewriteEngine:
         the Section 9.3 filter pipeline over the pools and writes the
         surviving per-query top-k lists into a single crash-safe SQLite
         file -- see :mod:`repro.store.sqlite`.  :meth:`from_store` then
-        serves byte-equal rewrite lists from it with O(cache) resident
-        memory.  Returns the store path.
+        serves byte-equal rewrite lists from it without the score matrix
+        resident.  Returns the store path.
         """
         self._ensure_not_store_backed("export_store")
         from repro.store.sqlite import export_serving_store
@@ -852,11 +771,11 @@ class RewriteEngine:
         ``source`` is a store path (opened as a
         :class:`~repro.store.sqlite.SqliteServingStore`) or an already-open
         :class:`~repro.store.base.ServingStore`.  The engine rebuilds its
-        serving knobs (``cache_size``, ``max_rewrites``) from the config
-        recorded in the store and answers ``rewrite`` / ``rewrite_batch`` /
-        ``expansions`` through the usual LRU cache, each miss being one
-        store lookup.  Control-plane operations (``fit``, ``refresh``,
-        ``save``, ``explain``, ``export_store``) raise
+        serving knobs (``max_rewrites``) from the config recorded in the
+        store and answers ``rewrite`` / ``rewrite_batch`` / ``expansions``
+        with one store lookup per query; it keeps no serving table.
+        Control-plane operations (``fit``, ``refresh``, ``save``,
+        ``explain``, ``export_store``) raise
         :class:`~repro.store.base.ServingOnlyEngineError`: the store holds
         materialized lists, not the score matrix.
         """
@@ -895,8 +814,8 @@ class RewriteEngine:
                 "(or .from_graph(graph, ...).fit()) before serving"
             )
         # Out-of-band method.fit()/method.restore() (not via this engine)
-        # bumps the method's fit generation; serving stale cached rewrite
-        # lists next to the new scores would silently mix two fits.
+        # bumps the method's fit generation; serving stale table entries
+        # next to the new scores would silently mix two fits.
         generation = getattr(self.method, "_fit_generation", None)
         if generation != self._served_generation:
             self.clear_cache()
@@ -907,7 +826,7 @@ class RewriteEngine:
         if self._store is not None:
             state = f"store-backed ({self._store.kind})"
         with self._cache_lock:
-            cached = len(self._cache)
+            cached = len(self._table)
         return (
             f"RewriteEngine(method={self.config.method!r}, {state}, "
             f"cached={cached})"

@@ -94,7 +94,11 @@ class CosineSimilarity(_PairwiseOverAds):
         common = set(first_weights) & set(second_weights)
         if not common:
             return 0.0
-        dot = sum(first_weights[ad] * second_weights[ad] for ad in common)
+        # Summed in a fixed order: iterating the set would tie the last bits
+        # of the score to the process's string-hash seed.
+        dot = sum(
+            first_weights[ad] * second_weights[ad] for ad in sorted(common, key=repr)
+        )
         first_norm = math.sqrt(sum(value ** 2 for value in first_weights.values()))
         second_norm = math.sqrt(sum(value ** 2 for value in second_weights.values()))
         if first_norm == 0.0 or second_norm == 0.0:

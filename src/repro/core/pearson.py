@@ -49,7 +49,9 @@ def pearson_similarity(
     numerator = 0.0
     first_variance = 0.0
     second_variance = 0.0
-    for ad in common:
+    # Summed in a fixed order: iterating the set would tie the last bits of
+    # the score to the process's string-hash seed.
+    for ad in sorted(common, key=repr):
         first_dev = first_weights[ad] - first_mean
         second_dev = second_weights[ad] - second_mean
         numerator += first_dev * second_dev

@@ -14,7 +14,7 @@ number of rewrites that survive is the method's *depth* for that query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.similarity_base import QuerySimilarityMethod
 from repro.graph.click_graph import ClickGraph
@@ -130,11 +130,10 @@ class QueryRewriter:
 
         Notes
         -----
-        Rewrite lists are memoized per query, so repeated ``rewrites_for``
-        calls (and the ``coverage`` / ``depth_histogram`` statistics, which
-        share the memo) run the similarity top-k at most once per query.
-        Changing any filtering attribute after serving has started requires a
-        :meth:`clear_cache` call; refitting clears the memo automatically.
+        The rewriter memoizes nothing per query: every call runs the
+        similarity top-k and the filter pipeline afresh.  The one serving
+        table is :class:`~repro.api.engine.RewriteEngine`'s.  Mutating the
+        ``bid_terms`` set in place requires a :meth:`clear_cache` call.
         """
         if max_rewrites < 1:
             raise ValueError("max_rewrites must be at least 1")
@@ -146,7 +145,6 @@ class QueryRewriter:
         self.candidate_pool = candidate_pool
         self.min_score = min_score
         self.deduplicate = deduplicate
-        self._cache: Dict[Node, RewriteList] = {}
         self._bid_signatures: Optional[Set[Tuple[str, ...]]] = None
         self._bid_signature_source: Optional[Set[str]] = None
 
@@ -155,37 +153,21 @@ class QueryRewriter:
     def fit(self, graph: ClickGraph) -> "QueryRewriter":
         """Fit the underlying similarity method on a click graph."""
         self.method.fit(graph)
-        self.clear_cache()
         return self
 
     def clear_cache(self) -> None:
-        """Drop memoized rewrite lists (needed after mutating filter knobs)."""
-        self._cache.clear()
-        # Recompute the bid-term signatures too: an identity check alone would
-        # miss in-place mutations of the bid_terms set.
+        """Drop the memoized bid-term signatures.
+
+        An identity check alone would miss in-place mutations of the
+        ``bid_terms`` set, so call this after mutating it.
+        """
         self._bid_signatures = None
         self._bid_signature_source = None
 
     # -------------------------------------------------------------- rewrites
 
-    def rewrites_for(self, query: Node) -> RewriteList:
-        """The surviving rewrites of one query, best first (memoized)."""
-        cached = self._cache.get(query)
-        if cached is not None:
-            return cached
-        result = self.compute_rewrites(query)
-        self._cache[query] = result
-        return result
-
     def compute_rewrites(self, query: Node) -> RewriteList:
-        """The surviving rewrites of one query, computed afresh (never memoized).
-
-        :class:`~repro.api.engine.RewriteEngine` owns a bounded LRU serving
-        cache and must remain the *only* cache layer -- a second unbounded
-        memo here would defeat the bound -- so the engine serves its misses
-        through this entry point, while :meth:`rewrites_for` keeps memoizing
-        for direct rewriter users (``coverage`` / ``depth_histogram``).
-        """
+        """The surviving rewrites of one query, best first."""
         result, _ = self._generate(query, collect_decisions=False)
         return result
 
@@ -249,7 +231,7 @@ class QueryRewriter:
 
     def rewrite_all(self, queries: Iterable[Node]) -> List[RewriteList]:
         """Rewrites for a whole evaluation query sample."""
-        return [self.rewrites_for(query) for query in queries]
+        return [self.compute_rewrites(query) for query in queries]
 
     # ----------------------------------------------------------------- stats
 
@@ -257,12 +239,12 @@ class QueryRewriter:
         """Fraction of the given queries with at least one surviving rewrite."""
         if not queries:
             return 0.0
-        covered = sum(1 for query in queries if self.rewrites_for(query).covered)
+        covered = sum(1 for query in queries if self.compute_rewrites(query).covered)
         return covered / len(queries)
 
     def depth_histogram(self, queries: Sequence[Node]) -> List[int]:
         """Count of queries by surviving-rewrite depth (index = depth)."""
         histogram = [0] * (self.max_rewrites + 1)
         for query in queries:
-            histogram[self.rewrites_for(query).depth] += 1
+            histogram[self.compute_rewrites(query).depth] += 1
         return histogram

@@ -4,7 +4,7 @@ Every similarity method returns an :class:`ArraySimilarityScores`: the final
 similarity matrix as a symmetric ``scipy.sparse`` CSR matrix with zero
 diagonal, plus the node index mapping rows to node identifiers.  The read
 interface (``score``, ``top``, ``neighbors``, ``pairs``, ``max_difference``,
-``nodes``, ``nonzero_count``, ``copy``, ``len``) works directly on that
+``nodes``, ``nonzero_count``, ``copy``, ``len``, ``in``) works directly on that
 matrix: nothing is copied out of it, and ``top()`` is served with a
 vectorized ``numpy`` partition instead of per-pair Python traffic.  The
 matrix backends build the store from their fixpoint matrix
@@ -250,6 +250,13 @@ class ArraySimilarityScores:
 
     def copy(self) -> "ArraySimilarityScores":
         return ArraySimilarityScores(self._matrix.copy(), self._index)
+
+    def __contains__(self, node: object) -> bool:
+        """Whether ``node`` has a row; ``False`` for unhashable input."""
+        try:
+            return node in self._pos
+        except TypeError:
+            return False
 
     def __len__(self) -> int:
         # The matrix is symmetric with zero diagonal by construction, so the

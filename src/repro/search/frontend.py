@@ -4,7 +4,7 @@ The front-end receives an incoming query and produces a list of rewrites that
 the back-end should also consider when looking for bids (paper Figure 2).
 It wraps either a :class:`repro.core.rewriter.QueryRewriter` or -- the
 preferred serving setup -- a fitted :class:`repro.api.engine.RewriteEngine`,
-whose per-query cache makes repeated traffic O(1) per query.  When neither is
+whose serving table makes repeated traffic O(1) per query.  When neither is
 configured it passes queries through unchanged, which models the system
 before click-graph-based rewriting is deployed (useful for bootstrapping the
 first click graph).
@@ -44,5 +44,5 @@ class FrontEnd:
             return [str(rewrite) for rewrite in self.engine.expansions(query, self.max_rewrites)]
         if self.rewriter is None:
             return []
-        rewrite_list = self.rewriter.rewrites_for(query)
+        rewrite_list = self.rewriter.compute_rewrites(query)
         return [str(rewrite.rewrite) for rewrite in rewrite_list.top(self.max_rewrites)]

@@ -68,7 +68,7 @@ Every way the serving tier obtains an engine goes through
                       --snapshot``); hot-swap later via ``POST /reload``
 ``store=FILE``        serving-only engine over a materialized SQLite
                       serving store (``serve --store``): indexed point
-                      lookups, O(cache) resident memory, no ``/refresh``
+                      lookups, no score matrix resident, no ``/refresh``
                       or ``/reload`` -- re-export and restart instead
 ``graph=ClickGraph``  fit fresh at startup (the ``serve --size`` synthetic
                       demo path)

@@ -9,9 +9,9 @@ Three ways to get a servable engine (all resolved through
                     serve online; hot-swap later via ``POST /reload``)
 ``--store FILE``    serve materialized rewrite lists from a SQLite serving
                     store (``RewriteEngine.export_store``): indexed point
-                    lookups, resident memory O(cache) instead of O(score
-                    matrix); ``/refresh`` and ``/reload`` are unavailable --
-                    re-export and restart to pick up a new fit
+                    lookups, no score matrix resident; ``/refresh`` and
+                    ``/reload`` are unavailable -- re-export and restart to
+                    pick up a new fit
 ``(neither)``       fit on a synthetic Yahoo!-like workload
                     (``--size/--seed/--method/--backend/--iterations/
                     --tolerance``), the self-contained demo path
@@ -99,7 +99,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--precompute",
         action="store_true",
-        help="warm the serving cache over the full query universe before "
+        help="fill the serving table over the full query universe before "
         "accepting traffic",
     )
     net = parser.add_argument_group("server")

@@ -46,7 +46,7 @@ class EngineHolder:
     state even while swaps happen concurrently.
 
     ``refresh(delta)`` is the writer-side API: it copies the current
-    engine (:meth:`RewriteEngine.copy` -- graph, scores and cache all
+    engine (:meth:`RewriteEngine.copy` -- graph, scores and table all
     duplicated), applies :meth:`RewriteEngine.refresh` to the *copy* and
     publishes it.  The engine readers hold is never mutated; a failed
     refresh publishes nothing.  ``reload(path)`` swaps in an engine revived

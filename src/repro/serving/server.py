@@ -15,7 +15,7 @@ Request flow::
 Single-query requests arriving close together are coalesced into one
 executor batch (``ServerConfig.max_batch_size`` / ``batch_linger_ms``), so
 duplicate-heavy traffic hits the engine's per-batch dedup and the serving
-cache instead of paying one executor hop per request.  Each request's
+table instead of paying one executor hop per request.  Each request's
 response is computed against **one** :class:`~repro.serving.holder.
 EngineHolder` snapshot -- an ``(engine, version)`` pair read atomically --
 so refreshes running concurrently can never produce a torn response that
@@ -267,6 +267,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -289,6 +290,10 @@ _ROUTE_PATHS = frozenset(path for _, path in _ROUTES)
 #: Header lines accepted per request; one more answers 431 and closes, so a
 #: client cannot stream header lines into the request's header dict forever.
 _MAX_HEADER_LINES = 100
+
+#: Seconds a client has, once its request line has arrived, to deliver the
+#: headers and body; past it the server answers 408 and closes.
+_REQUEST_READ_TIMEOUT_S = 10.0
 
 
 @dataclass
@@ -638,13 +643,30 @@ class RewriteServer:
     async def _read_request(self, reader: asyncio.StreamReader) -> Optional[_Request]:
         try:
             line = await reader.readline()
-            if not line:
-                return None
-            try:
-                method, path, _ = line.decode("latin-1").split()
-            except ValueError:
-                raise _HttpError(400, "malformed request line") from None
-            headers: Dict[str, str] = {}
+        except ValueError:  # readline: a line over the stream reader's limit
+            raise _HttpError(400, "request line or header too long") from None
+        if not line:
+            return None
+        try:
+            method, path, _ = line.decode("latin-1").split()
+        except ValueError:
+            raise _HttpError(400, "malformed request line") from None
+        # The wait for a request line is unbounded (keep-alive clients idle
+        # between requests); once one has arrived, the rest must follow in
+        # bounded time, or a stalled client would hold its connection forever.
+        try:
+            headers, body = await asyncio.wait_for(
+                self._read_headers_and_body(reader), _REQUEST_READ_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            raise _HttpError(408, "request headers and body not received in time") from None
+        return _Request(method=method, path=path, headers=headers, body=body)
+
+    async def _read_headers_and_body(
+        self, reader: asyncio.StreamReader
+    ) -> Tuple[Dict[str, str], bytes]:
+        headers: Dict[str, str] = {}
+        try:
             for _ in range(_MAX_HEADER_LINES + 1):
                 header = await reader.readline()
                 if header in (b"\r\n", b"\n", b""):
@@ -662,7 +684,7 @@ class RewriteServer:
         if length > self._config.max_request_bytes:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
-        return _Request(method=method, path=path, headers=headers, body=body)
+        return headers, body
 
     async def _respond(self, request: _Request) -> Tuple[int, Dict[str, Any]]:
         self._counters.requests += 1

@@ -7,23 +7,16 @@ read path (``rewrite`` / ``rewrite_batch`` / ``expansions``) no longer
 assumes the full score matrix is resident, only that *something* can
 produce the filtered rewrite list of a query.
 
-Two implementations of :class:`~repro.store.base.ServingStore`:
-
-:class:`~repro.store.memory.InMemoryServingStore`
-    Wraps today's fitted-scores + rewriter path: each lookup runs the
-    similarity top-k and the Section 9.3 filter pipeline over the resident
-    score store.  Resident memory is O(nnz).
-
-:class:`~repro.store.sqlite.SqliteServingStore`
-    A single-file SQLite database materialized at export time
-    (:meth:`RewriteEngine.export_store`): per-query rewrite lists are
-    ranked inside the storage engine with a window-function query and
-    served back with indexed point lookups, so resident memory is
-    O(serving cache), not O(nnz) -- click graphs bigger than serving RAM
-    become servable.
+The implementation is :class:`~repro.store.sqlite.SqliteServingStore`: a
+single-file SQLite database materialized at export time
+(:meth:`RewriteEngine.export_store`).  Per-query rewrite lists are ranked
+inside the storage engine with a window-function query and served back
+with indexed point lookups, so resident memory does not grow with nnz --
+click graphs bigger than serving RAM become servable.  A fitted engine
+serves the same lists from its own in-memory serving table.
 
 ``RewriteEngine.from_store(path)`` revives a serving-only engine from an
-exported store; it serves through the usual LRU cache but cannot ``fit`` /
+exported store; it answers every lookup from the store but cannot ``fit`` /
 ``refresh`` / ``save`` (those raise
 :class:`~repro.store.base.ServingOnlyEngineError` -- refit the original
 engine and re-export instead).  ``repro.api.sources.resolve_engine_source``
@@ -31,7 +24,6 @@ is the one front door over snapshot, store and fresh-fit construction.
 """
 
 from repro.store.base import ServingOnlyEngineError, ServingStore, StoreError
-from repro.store.memory import InMemoryServingStore
 from repro.store.sqlite import (
     STORE_FORMAT_VERSION,
     SqliteServingStore,
@@ -40,7 +32,6 @@ from repro.store.sqlite import (
 
 __all__ = [
     "STORE_FORMAT_VERSION",
-    "InMemoryServingStore",
     "ServingOnlyEngineError",
     "ServingStore",
     "SqliteServingStore",

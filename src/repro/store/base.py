@@ -3,12 +3,11 @@
 A serving store answers exactly the questions the online side of the
 paper's deployment asks -- "what are this query's filtered, ranked
 rewrites?" and "which queries do you know?" -- without prescribing where
-the answers live: resident score arrays
-(:class:`~repro.store.memory.InMemoryServingStore`) or a materialized
-SQLite ranking table (:class:`~repro.store.sqlite.SqliteServingStore`).
-:class:`~repro.api.engine.RewriteEngine` serves any implementation through
-its LRU cache, so the choice of store never changes served results, only
-the resident-memory/latency trade-off.
+the answers live, e.g. a materialized SQLite ranking table
+(:class:`~repro.store.sqlite.SqliteServingStore`).  A store-backed
+:class:`~repro.api.engine.RewriteEngine` answers every lookup from its
+store, so the store never changes served results -- they are byte-equal to
+the fitted engine's -- only the resident-memory/latency trade-off.
 
 Implementations must be thread-safe for concurrent :meth:`rewrites` calls:
 the serving tier issues lookups from multiple executor threads against one
@@ -55,16 +54,14 @@ class ServingStore(abc.ABC):
       the same query return equal :class:`~repro.core.rewriter.RewriteList`
       values, byte-equal under ``RewriteList.as_tuples()`` to what the
       fitted engine the store was built from would serve.  Unknown queries
-      get an *empty* rewrite list, never an error, matching the in-memory
-      serving path.
-    * :meth:`queries` is the precompute universe: the full query set of the
-      fitted graph (isolated queries included), so warming a cache over it
-      reproduces the paper's full offline pass.
+      get an *empty* rewrite list, never an error, matching the fitted
+      engine.
+    * :meth:`queries` is the exporting engine's serving universe: the full
+      query set of the fitted graph (isolated queries included).
     * Lookups are thread-safe; :attr:`lookups` counts them for ``/stats``.
     """
 
-    #: Short implementation tag surfaced by ``/stats`` (``"memory"``,
-    #: ``"sqlite"``).
+    #: Short implementation tag surfaced by ``/stats`` (``"sqlite"``).
     kind: str = "abstract"
 
     # ------------------------------------------------------------- protocol
@@ -86,9 +83,9 @@ class ServingStore(abc.ABC):
     def version(self) -> int:
         """Identifier of the fitted state the store serves.
 
-        The fit generation for in-memory stores, the recorded store
-        version for materialized ones; surfaced via ``/stats`` so operators
-        can tell which export a serving node answers from.
+        For materialized stores, the recorded store version; surfaced via
+        ``/stats`` so operators can tell which export a serving node
+        answers from.
         """
 
     @abc.abstractmethod
@@ -106,7 +103,7 @@ class ServingStore(abc.ABC):
         """The exporting engine's serialized config, when recorded.
 
         ``RewriteEngine.from_store`` rebuilds the serving knobs
-        (``cache_size``, ``max_rewrites``) from this; ``None`` means the
+        (``max_rewrites``) from this; ``None`` means the
         store carries no config and the engine defaults apply.
         """
         return None

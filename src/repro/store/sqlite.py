@@ -24,8 +24,7 @@ drift -- and the surviving lists land in a ``rewrites`` table clustered on
 ``(query, rank)``.
 
 Serving (:class:`SqliteServingStore`) is then an indexed point lookup per
-query: resident memory is O(connection + page cache + engine LRU cache),
-not O(nnz), which is what lets a serving node answer from a store bigger
+query: resident memory is O(connection + page cache), not O(nnz), which is what lets a serving node answer from a store bigger
 than its RAM.  The export is crash-safe via the shared staged-write
 rename-publish discipline (:func:`repro.api.staging.staged_write`): a
 killed export can never leave a half-written database discoverable.
@@ -291,8 +290,7 @@ class SqliteServingStore(ServingStore):
     answers each :meth:`rewrites` call with one clustered-index scan of the
     query's rows.  Thread-safe: the serving tier's executor threads share
     one connection, serialized by an internal lock -- lookups are
-    microsecond-scale point reads, so the lock is not a throughput concern,
-    and the engine's LRU cache absorbs repeats anyway.
+    microsecond-scale point reads, so the lock is not a throughput concern.
     """
 
     kind = "sqlite"

@@ -55,11 +55,11 @@ class TestLifecycle:
         assert engine.cache_info() == type(engine.cache_info())(hits=0, misses=0, size=0)
 
     def test_refit_on_a_changed_graph_serves_fresh_rewrites(self, small_weighted_graph):
-        """Regression: a second fit() must invalidate every per-query cache layer.
+        """Regression: a second fit() must empty the serving table.
 
         Serving a query, refitting on a graph where that query's edges changed,
-        and serving again must reflect the new graph -- a stale engine cache or
-        rewriter memo would silently return the first fit's rewrites.
+        and serving again must reflect the new graph -- a stale table entry
+        would silently return the first fit's rewrites.
         """
         engine = RewriteEngine.from_graph(
             small_weighted_graph, EngineConfig(method="simrank")
@@ -73,11 +73,6 @@ class TestLifecycle:
         engine.fit(rewired)
         after = [r.rewrite for r in engine.rewrite("camera").rewrites]
         assert "digital camera" not in after
-
-        # And the direct rewriter memo (not just the engine-level cache) is fresh:
-        assert "digital camera" not in [
-            r.rewrite for r in engine._rewriter.rewrites_for("camera").rewrites
-        ]
 
     def test_out_of_band_restore_invalidates_serving_caches(
         self, small_weighted_graph
@@ -145,171 +140,80 @@ class TestServingCache:
         info = engine.cache_info()
         assert (info.hits, info.misses, info.size) == (0, 0, 0)
 
+    def test_full_lifecycle_bookkeeping(self, engine, small_weighted_graph):
+        """cache_info across precompute -> rewrite_batch -> clear_cache."""
+        num_queries = len(list(small_weighted_graph.queries()))
+        assert engine.precompute() == num_queries
+        info = engine.cache_info()
+        assert (info.misses, info.size) == (num_queries, num_queries)
+        engine.rewrite_batch(["camera", "pc", "camera"])
+        info = engine.cache_info()
+        assert info.hits == 3
+        assert info.misses == num_queries
+        engine.clear_cache()
+        assert engine.cache_info() == type(info)(hits=0, misses=0, size=0)
+
+    def test_precompute_skips_queries_already_in_the_table(self, engine):
+        engine.rewrite("camera")
+        assert engine.precompute(["camera", "pc", "pc"]) == 1
+        assert engine.cache_info().size == 2
+
+    def test_unknown_queries_get_no_scan_and_no_entry(self, engine):
+        """Queries without a score row never enter the table, so a flood of
+        them cannot grow it; they are answered with an empty list."""
+        calls = counting_top_rewrites(engine)
+        results = engine.rewrite_batch([f"unknown-{i}" for i in range(50)])
+        assert all(not result.covered for result in results)
+        assert [result.query for result in results] == [f"unknown-{i}" for i in range(50)]
+        assert calls["count"] == 0
+        info = engine.cache_info()
+        assert (info.size, info.misses) == (0, 50)
+        assert engine.precompute(["unknown-0"]) == 0
+
+    def test_unknown_queries_serve_what_the_pipeline_computes(self, engine):
+        for query in ("unknown", "", 42):
+            assert engine.rewrite(query).as_tuples() == (
+                engine._rewriter.compute_rewrites(query).as_tuples()
+            )
+
+    def test_unhashable_query_serves_an_empty_list(self, engine):
+        calls = counting_top_rewrites(engine)
+        result = engine.rewrite(["camera"])
+        assert (result.query, result.rewrites) == (["camera"], [])
+        assert calls["count"] == 0
+        assert engine.cache_info().size == 0
+
+    def test_unhashable_queries_in_a_batch_serve_empty_lists(self, engine):
+        queries = ["camera", ["camera"], {"pc": 1}, "camera"]
+        results = engine.rewrite_batch(queries)
+        assert [result.query for result in results] == queries
+        assert [result.covered for result in results] == [True, False, False, True]
+        assert results[3] is results[0]
+        assert engine.cache_info().size == 1
+
     def test_expansions_returns_plain_terms(self, engine):
         expansions = engine.expansions("camera", max_rewrites=2)
         assert len(expansions) <= 2
         assert all(term != "camera" for term in expansions)
 
 
-class TestBoundedCache:
-    """LRU serving cache: bookkeeping, eviction order, result equivalence."""
-
-    def build(self, graph, cache_size):
-        return RewriteEngine.from_graph(
-            graph,
-            EngineConfig(method="weighted_simrank", cache_size=cache_size),
-        ).fit()
-
-    def test_cache_info_reports_capacity_and_evictions(self, small_weighted_graph):
-        engine = self.build(small_weighted_graph, cache_size=2)
-        info = engine.cache_info()
-        assert (info.capacity, info.evictions) == (2, 0)
-        engine.rewrite_batch(["camera", "pc", "flower"])
-        info = engine.cache_info()
-        assert info.misses == 3
-        assert info.size == 2  # bounded
-        assert info.evictions == 1
-
-    def test_eviction_is_least_recently_used(self, small_weighted_graph):
-        engine = self.build(small_weighted_graph, cache_size=2)
-        engine.rewrite("camera")
-        engine.rewrite("pc")
-        engine.rewrite("camera")  # refresh camera: pc is now the LRU entry
-        engine.rewrite("flower")  # evicts pc, not camera
-        calls = counting_top_rewrites(engine)
-        engine.rewrite("camera")
-        assert calls["count"] == 0  # still cached
-        engine.rewrite("pc")
-        assert calls["count"] == 1  # evicted, recomputed
-
-    def test_evicted_queries_are_recomputed_identically(self, small_weighted_graph):
-        """The tentpole invariant: eviction never changes served results."""
-        bounded = self.build(small_weighted_graph, cache_size=1)
-        unbounded = self.build(small_weighted_graph, cache_size=None)
-        stream = ["camera", "pc", "camera", "flower", "pc", "camera", "flower"]
-        bounded_lists = bounded.rewrite_batch(stream)
-        unbounded_lists = unbounded.rewrite_batch(stream)
-        for bounded_result, unbounded_result in zip(bounded_lists, unbounded_lists):
-            assert bounded_result.as_tuples() == unbounded_result.as_tuples()
-        assert bounded.cache_info().evictions > 0  # the bound actually engaged
-
-    def test_full_lifecycle_bookkeeping(self, small_weighted_graph):
-        """cache_info across precompute -> rewrite_batch -> clear_cache."""
-        engine = self.build(small_weighted_graph, cache_size=None)
-        num_queries = len(list(small_weighted_graph.queries()))
-        assert engine.precompute() == num_queries
-        info = engine.cache_info()
-        assert (info.misses, info.size, info.evictions) == (num_queries, num_queries, 0)
-        engine.rewrite_batch(["camera", "pc", "camera"])
-        info = engine.cache_info()
-        assert info.hits == 3
-        assert info.misses == num_queries
-        engine.clear_cache()
-        info = engine.cache_info()
-        assert (info.hits, info.misses, info.size, info.evictions) == (0, 0, 0, 0)
-        assert info.capacity is None
-
-    def test_precompute_beyond_capacity_computes_only_survivors(
-        self, small_weighted_graph
-    ):
-        """Cold bounded warm-up skips the queries that would be evicted on
-        arrival; the end-state cache is the same as a naive full replay."""
-        engine = self.build(small_weighted_graph, cache_size=3)
-        stream = sorted(str(q) for q in small_weighted_graph.queries())
-        warmed = engine.precompute(stream)
-        info = engine.cache_info()
-        assert warmed == 3  # only the surviving tail was computed
-        assert info.size == 3
-        assert info.evictions == 0  # no compute-then-discard churn
-        calls = counting_top_rewrites(engine)
-        engine.rewrite_batch(stream[-3:])  # the tail is cached...
-        assert calls["count"] == 0
-        engine.rewrite(stream[0])  # ...earlier queries were never computed
-        assert calls["count"] == 1
-
-    def test_warm_bounded_precompute_never_recomputes_survivors(
-        self, small_weighted_graph
-    ):
-        """A cached entry that survives the replay is refreshed in place --
-        never evicted mid-warm-up by a new insertion and recomputed."""
-        engine = self.build(small_weighted_graph, cache_size=3)
-        engine.rewrite_batch(["camera", "pc", "flower"])
-        calls = counting_top_rewrites(engine)
-        # Replay of [camera, pc, flower] + [laptop, camera]: laptop and the
-        # re-seen camera push out camera-then-pc, leaving {flower, laptop,
-        # camera} -- camera and flower were already cached and stay so.
-        warmed = engine.precompute(["laptop", "camera"])
-        assert warmed == 1  # only laptop is new
-        assert calls["count"] == 1  # survivors were not recomputed
-        info = engine.cache_info()
-        assert info.size == 3
-        assert info.evictions == 1  # pc fell out of the replay
-
-    def test_precompute_on_a_warm_bounded_cache_respects_recency(
-        self, small_weighted_graph
-    ):
-        """A query re-seen during the warm-up is refreshed, not evicted --
-        the same LRU replay semantics the serving path implements."""
-        engine = self.build(small_weighted_graph, cache_size=2)
-        engine.rewrite("camera")
-        warmed = engine.precompute(["pc", "camera", "flower"])
-        # Replay of [camera] + [pc, camera, flower]: pc arrives, camera is
-        # refreshed, flower evicts pc -> survivors are camera and flower.
-        assert warmed == 1  # only flower is computed; pc is never materialized
-        calls = counting_top_rewrites(engine)
-        engine.rewrite("camera")
-        engine.rewrite("flower")
-        assert calls["count"] == 0  # both survived the warm-up
-        engine.rewrite("pc")
-        assert calls["count"] == 1  # evicted-on-arrival, never computed
-
-    def test_unbounded_cache_never_evicts(self, small_weighted_graph):
-        engine = self.build(small_weighted_graph, cache_size=None)
-        engine.precompute()
-        engine.rewrite_batch(sorted(str(q) for q in small_weighted_graph.queries()))
-        assert engine.cache_info().evictions == 0
-
-    def test_batch_duplicates_survive_eviction_via_batch_memo(
-        self, small_weighted_graph
-    ):
-        """Within one batch, a duplicate never recomputes -- even when the
-        bounded cache already evicted the first occurrence's entry."""
-        engine = self.build(small_weighted_graph, cache_size=1)
-        calls = counting_top_rewrites(engine)
-        results = engine.rewrite_batch(["camera", "pc", "camera"])
-        # pc evicted camera from the LRU, but the batch memo still holds it.
-        assert calls["count"] == 2
-        assert results[2] is results[0]
-        info = engine.cache_info()
-        assert (info.hits, info.misses, info.size) == (1, 2, 1)
-
-    @pytest.mark.parametrize("cache_size", [0, -1])
-    def test_invalid_cache_size_rejected(self, cache_size):
-        with pytest.raises(ValueError):
-            EngineConfig(cache_size=cache_size)
-
-    def test_cache_size_round_trips_through_to_dict(self):
-        config = EngineConfig(cache_size=128)
-        assert EngineConfig.from_dict(config.to_dict()) == config
-        assert EngineConfig.from_dict(EngineConfig().to_dict()).cache_size is None
-
-
 class TestConcurrentServing:
     """The serving half of the thread-safety contract (see the module
     docstring of ``repro.api.engine``): rewrite()/rewrite_batch() from many
-    threads against one engine stay correct and keep the cache bounded."""
+    threads against one engine stay correct and keep the table bounded."""
 
     def test_threaded_rewrites_match_ground_truth(self, small_weighted_graph):
         from concurrent.futures import ThreadPoolExecutor
 
         engine = RewriteEngine.from_graph(
-            small_weighted_graph,
-            EngineConfig(method="weighted_simrank", cache_size=2),
+            small_weighted_graph, EngineConfig(method="weighted_simrank")
         ).fit()
         queries = sorted(str(q) for q in small_weighted_graph.queries())
         expected = {q: engine.rewrite(q).as_tuples() for q in queries}
         engine.clear_cache()
         stream = [queries[(i * 7) % len(queries)] for i in range(200)]
+        stream += [f"unknown-{i}" for i in range(100)]
+        expected.update({f"unknown-{i}": [] for i in range(100)})
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(engine.rewrite, stream))
@@ -317,7 +221,7 @@ class TestConcurrentServing:
         for query, result in zip(stream, results):
             assert result.as_tuples() == expected[query]
         info = engine.cache_info()
-        assert info.size <= 2  # the bound held under concurrent inserts
+        assert info.size == len(queries)  # one entry per scored query, no more
         # Double-computes under racing misses are allowed, torn counters
         # are not: every request is accounted a hit or a miss.
         assert info.hits + info.misses >= len(stream)
@@ -326,8 +230,7 @@ class TestConcurrentServing:
         from concurrent.futures import ThreadPoolExecutor
 
         engine = RewriteEngine.from_graph(
-            small_weighted_graph,
-            EngineConfig(method="weighted_simrank", cache_size=3),
+            small_weighted_graph, EngineConfig(method="weighted_simrank")
         ).fit()
         queries = sorted(str(q) for q in small_weighted_graph.queries())
         expected = {q: engine.rewrite(q).as_tuples() for q in queries}
@@ -340,7 +243,7 @@ class TestConcurrentServing:
         for batch, results in zip(batches, all_results):
             for query, result in zip(batch, results):
                 assert result.as_tuples() == expected[query]
-        assert engine.cache_info().size <= 3
+        assert engine.cache_info().size == len(queries)
 
 
 class TestExplain:
@@ -431,6 +334,13 @@ class TestEngineConfig:
         assert payload["similarity"]["weight_source"] == "clicks"
         assert payload["similarity"]["evidence"] == "exponential"
         assert EngineConfig.from_dict(payload) == config
+
+    @pytest.mark.parametrize("recorded", [None, 256])
+    def test_from_dict_discards_a_recorded_cache_size(self, recorded):
+        """Every 1.x/2.0 snapshot manifest and store records cache_size."""
+        assert "cache_size" not in EngineConfig().to_dict()
+        payload = dict(EngineConfig(max_rewrites=3).to_dict(), cache_size=recorded)
+        assert EngineConfig.from_dict(payload) == EngineConfig(max_rewrites=3)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError):

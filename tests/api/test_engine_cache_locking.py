@@ -1,7 +1,7 @@
-"""Regression tests for the RL001 findings fixed in the engine's cache path.
+"""Regression tests for the RL001 findings fixed in the engine's table path.
 
 The lock-discipline checker (RL001) found ``refresh``/``precompute``/
-``_warm_bounded``/``__repr__`` touching the serving cache and its counters
+``__repr__`` touching the serving table and its counters
 outside ``_cache_lock`` while concurrent ``rewrite`` calls mutate the same
 structures under it.  The fix routes every access through the lock --
 without ever holding it across a ``rewrite()`` call, which takes the
@@ -16,11 +16,10 @@ from repro.api.engine import RewriteEngine
 from repro.core.config import SimrankConfig
 
 
-def build_engine(graph, cache_size=None):
+def build_engine(graph):
     config = EngineConfig(
         method="weighted_simrank",
         similarity=SimrankConfig(iterations=10),
-        cache_size=cache_size,
         bid_filtering=False,
     )
     return RewriteEngine.from_graph(graph, config).fit()
@@ -51,7 +50,7 @@ class TestConcurrentCacheAccounting:
     def test_precompute_races_with_serving_without_deadlock_or_drift(
         self, small_weighted_graph
     ):
-        engine = build_engine(small_weighted_graph, cache_size=3)
+        engine = build_engine(small_weighted_graph)
         queries = list(engine.graph.queries())
         stop = threading.Event()
 
@@ -69,7 +68,7 @@ class TestConcurrentCacheAccounting:
             stop.set()
             server.join(timeout=10.0)
         assert not server.is_alive(), "serving thread wedged against precompute"
-        assert engine.cache_info().size <= 3
+        assert engine.cache_info().size == len(queries)
 
     def test_repr_is_safe_during_serving(self, small_weighted_graph):
         engine = build_engine(small_weighted_graph)

@@ -30,12 +30,11 @@ def build_graph():
     )
 
 
-def build_engine(graph, backend="sharded", cache_size=None):
+def build_engine(graph, backend="sharded"):
     config = EngineConfig(
         method="weighted_simrank",
         backend=backend,
         similarity=SIMILARITY,
-        cache_size=cache_size,
     )
     bid_terms = {str(query) for query in graph.queries()}
     return RewriteEngine.from_graph(graph, config, bid_terms=bid_terms).fit()
@@ -181,17 +180,17 @@ class TestRefreshServingCorrectness:
         for refreshed_row, fresh_row in zip(refreshed_profile, fresh_profile):
             assert refreshed_row[3] == pytest.approx(fresh_row[3], abs=1e-6)
 
-    def test_bounded_cache_refresh_keeps_lru_semantics(self):
+    def test_refresh_keeps_the_table_within_the_score_rows(self):
         graph = build_graph()
-        engine = build_engine(graph.copy(), backend="sharded", cache_size=6)
+        engine = build_engine(graph.copy(), backend="sharded")
         queries = sorted(graph.queries())
-        engine.rewrite_batch(queries)
+        engine.rewrite_batch(queries + ["unknown"])
         engine.refresh(one_component_delta(engine.graph, component=3))
-        # Serving still works and the bound still holds after invalidation.
-        engine.rewrite_batch(queries)
+        # Serving still works and the table still holds only scored queries.
+        engine.rewrite_batch(queries + ["unknown"])
         info = engine.cache_info()
-        assert info.size <= 6
-        assert info.capacity == 6
+        assert info.size <= len(engine.method.similarities().index)
+        assert info.size <= len(queries)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_zero_tolerance_refresh_keeps_cache_exactly_consistent(self, backend):
@@ -358,7 +357,7 @@ class TestCopy:
     """RewriteEngine.copy(): the building block of copy-on-write serving."""
 
     def test_copy_serves_identically_and_shares_no_cache(self):
-        engine = build_engine(build_graph(), cache_size=8)
+        engine = build_engine(build_graph())
         queries = sorted(str(q) for q in engine.graph.queries())
         engine.rewrite_batch(queries[:4])
         clone = engine.copy()

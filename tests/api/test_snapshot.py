@@ -147,10 +147,11 @@ class TestRoundTrip:
         # universe -- the same count the fitted engine warmed.
         assert loaded.precompute() == warmed_by_fitted
 
-    def test_precompute_after_load_covers_pairless_queries(self, tmp_path):
-        """The reference backend's dict store drops isolated queries, but the
-        snapshot's query universe still warms them -- exactly like a fitted
-        engine's precompute (which walks the graph) would."""
+    def test_precompute_after_load_fills_only_scored_queries(self, tmp_path):
+        """The reference backend's store has no row for isolated queries: the
+        snapshot's query universe still records them, a loaded engine serves
+        them an empty list, and only scored queries enter the table --
+        exactly like a fitted engine's precompute (which walks the graph)."""
         graph = ClickGraph()
         graph.add_edge("camera", "hp.com", impressions=10, clicks=2)
         graph.add_edge("digital camera", "hp.com", impressions=9, clicks=2)
@@ -158,12 +159,17 @@ class TestRoundTrip:
         engine = RewriteEngine.from_graph(
             graph, EngineConfig(method="simrank", backend="reference")
         ).fit()
+        assert engine.precompute() == 2  # camera, digital camera
         loaded = RewriteEngine.load(engine.save(tmp_path / "snap"))
-        assert loaded.precompute() == 3  # camera, digital camera, lonely
+        assert loaded._serving_universe() == ["camera", "digital camera", "lonely"]
+        assert loaded.precompute() == 2
         assert not loaded.rewrite("lonely").covered
+        assert loaded.cache_info().size == 2
         # A re-save of the loaded engine forwards the universe unchanged.
-        reloaded = RewriteEngine.load(loaded.save(tmp_path / "snap2"))
-        assert reloaded.precompute() == 3
+        resaved = loaded.save(tmp_path / "snap2")
+        manifest = json.loads((resaved / MANIFEST_FILENAME).read_text())
+        assert manifest["query_universe"] == ["camera", "digital camera", "lonely"]
+        assert RewriteEngine.load(resaved).precompute() == 2
 
     def test_missing_bid_terms_round_trip_as_none(self, small_weighted_graph, tmp_path):
         engine = RewriteEngine.from_graph(
@@ -215,6 +221,27 @@ class TestRoundTrip:
         assert isinstance(loaded.method.similarities(), ArraySimilarityScores)
         queries = sorted(small_weighted_graph.queries())
         assert loaded.serving_profile(queries) == engine.serving_profile(queries)
+
+    def test_2_0_snapshot_recording_cache_size_still_loads(
+        self, fitted, small_weighted_graph, tmp_path
+    ):
+        """1.x/2.0 manifests record the removed ``cache_size`` config key."""
+        path = fitted.save(tmp_path / "snap")
+        manifest_path = path / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        assert "cache_size" not in manifest["engine_config"]
+        manifest["engine_config"]["cache_size"] = 256
+        manifest_path.write_text(json.dumps(manifest))
+
+        loaded = RewriteEngine.load(path)
+        assert loaded.config == fitted.config
+        queries = sorted(small_weighted_graph.queries()) + ["unknown"]
+        assert loaded.serving_profile(queries) == fitted.serving_profile(queries)
+
+        manifest["engine_config"]["turbo"] = True  # other unknown keys still fail
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError):
+            RewriteEngine.load(path)
 
     def test_auto_backend_snapshot_round_trips(self, tmp_path):
         """Auto's iterations_run is a read-only view of its delegate."""

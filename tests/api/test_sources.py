@@ -9,7 +9,7 @@ from repro.api.engine import RewriteEngine
 from repro.api.snapshot import SCORES_FILENAME, SnapshotError
 from repro.api.sources import resolve_engine_source
 from repro.core.config import SimrankConfig
-from repro.store import InMemoryServingStore, StoreError
+from repro.store import SqliteServingStore, StoreError
 
 
 def build_engine(graph):
@@ -105,12 +105,11 @@ class TestStoreSource:
             queries
         )
 
-    def test_open_store_instance(self, engine):
-        resolved = resolve_engine_source(
-            store=InMemoryServingStore.from_engine(engine)
-        )
+    def test_open_store_instance(self, engine, tmp_path):
+        store_path = engine.export_store(tmp_path / "rewrites.sqlite")
+        resolved = resolve_engine_source(store=SqliteServingStore(store_path))
         assert resolved.kind == "store"
-        assert resolved.origin is None  # in-memory stores have no path
+        assert resolved.origin == store_path
         assert resolved.engine.rewrite("camera") == engine.rewrite("camera")
 
     def test_store_errors_propagate_without_fallback(self, tmp_path):

@@ -97,7 +97,7 @@ class TestQueryRewriter:
         bid_terms = {"digital camera", "photo printer", "tripod", "pc"}
         rewriter = QueryRewriter(self._method(), bid_terms=bid_terms, max_rewrites=3)
         rewriter.fit(fig3_graph)
-        rewrites = rewriter.rewrites_for("camera")
+        rewrites = rewriter.compute_rewrites("camera")
         assert rewrites.candidates() == ["digital camera", "photo printer", "tripod"]
         assert rewrites.depth == 3
         assert rewrites.covered
@@ -107,23 +107,23 @@ class TestQueryRewriter:
     def test_stemming_dedup_drops_query_variants(self, fig3_graph):
         rewriter = QueryRewriter(self._method(), bid_terms=None, max_rewrites=5)
         rewriter.fit(fig3_graph)
-        candidates = rewriter.rewrites_for("camera").candidates()
+        candidates = rewriter.compute_rewrites("camera").candidates()
         assert "cameras" not in candidates
 
     def test_dedup_can_be_disabled(self, fig3_graph):
         rewriter = QueryRewriter(self._method(), deduplicate=False)
         rewriter.fit(fig3_graph)
-        assert "cameras" in rewriter.rewrites_for("camera").candidates()
+        assert "cameras" in rewriter.compute_rewrites("camera").candidates()
 
     def test_bid_filter_none_keeps_everything(self, fig3_graph):
         rewriter = QueryRewriter(self._method(), bid_terms=None, max_rewrites=10, candidate_pool=10)
         rewriter.fit(fig3_graph)
-        assert "unbid query" in rewriter.rewrites_for("camera").candidates()
+        assert "unbid query" in rewriter.compute_rewrites("camera").candidates()
 
     def test_min_score_threshold(self, fig3_graph):
         rewriter = QueryRewriter(self._method(), min_score=0.7)
         rewriter.fit(fig3_graph)
-        assert rewriter.rewrites_for("camera").candidates() == ["digital camera"]
+        assert rewriter.compute_rewrites("camera").candidates() == ["digital camera"]
 
     def test_coverage_and_depth_histogram(self, fig3_graph):
         rewriter = QueryRewriter(self._method(), max_rewrites=5)
@@ -144,37 +144,24 @@ class TestQueryRewriter:
         method = BipartiteSimrank(paper_config)
         rewriter = QueryRewriter(method, bid_terms={"digital camera", "tv", "pc"})
         rewriter.fit(fig3_graph)
-        rewrites = rewriter.rewrites_for("camera")
+        rewrites = rewriter.compute_rewrites("camera")
         assert rewrites.depth >= 2
         assert set(rewrites.candidates()) <= {"digital camera", "tv", "pc"}
 
-    def _count_top_rewrites(self, rewriter):
+    def test_compute_rewrites_memoizes_nothing(self, fig3_graph):
+        """The engine's table is the only serving cache: every rewriter call
+        runs the similarity top-k afresh."""
+        rewriter = QueryRewriter(self._method(), max_rewrites=5).fit(fig3_graph)
         calls = {"count": 0}
         original = rewriter.method.top_rewrites
 
-        def wrapper(*args, **kwargs):
+        def counting(*args, **kwargs):
             calls["count"] += 1
             return original(*args, **kwargs)
 
-        rewriter.method.top_rewrites = wrapper
-        return calls
-
-    def test_stats_share_one_topk_pass_per_query(self, fig3_graph):
-        """Regression: coverage + depth_histogram used to rerun the top-k scan."""
-        rewriter = QueryRewriter(self._method(), max_rewrites=5).fit(fig3_graph)
-        calls = self._count_top_rewrites(rewriter)
-        queries = ["camera", "query with no rewrites", "camera"]
-        rewriter.coverage(queries)
-        rewriter.depth_histogram(queries)
-        rewriter.rewrites_for("camera")
-        assert calls["count"] == 2  # one scan per *unique* query, ever
-
-    def test_clear_cache_and_refit_invalidate_the_memo(self, fig3_graph):
-        rewriter = QueryRewriter(self._method(), max_rewrites=5).fit(fig3_graph)
-        calls = self._count_top_rewrites(rewriter)
-        rewriter.rewrites_for("camera")
-        rewriter.clear_cache()
-        rewriter.rewrites_for("camera")
+        rewriter.method.top_rewrites = counting
+        first = rewriter.compute_rewrites("camera")
+        assert rewriter.compute_rewrites("camera") == first
         assert calls["count"] == 2
 
     def test_bid_terms_match_stemming_and_casing_variants(self, fig3_graph):
@@ -184,26 +171,26 @@ class TestQueryRewriter:
             bid_terms={"Digital Cameras", "PRINTER PHOTO", "tripods"},
             max_rewrites=5,
         ).fit(fig3_graph)
-        candidates = rewriter.rewrites_for("camera").candidates()
+        candidates = rewriter.compute_rewrites("camera").candidates()
         # "digital camera" / "photo printer" / "tripod" stem to the same
         # signatures as the bid terms above and must survive the filter.
         assert candidates == ["digital camera", "photo printer", "tripod"]
 
     def test_bid_term_reassignment_refreshes_the_filter(self, fig3_graph):
         rewriter = QueryRewriter(self._method(), bid_terms={"digital camera"}).fit(fig3_graph)
-        assert rewriter.rewrites_for("camera").candidates() == ["digital camera"]
+        assert rewriter.compute_rewrites("camera").candidates() == ["digital camera"]
         rewriter.bid_terms = {"tripod"}
         rewriter.clear_cache()
-        assert rewriter.rewrites_for("camera").candidates() == ["tripod"]
+        assert rewriter.compute_rewrites("camera").candidates() == ["tripod"]
 
     def test_in_place_bid_term_mutation_refreshes_after_clear_cache(self, fig3_graph):
         """Regression: identity-based staleness missed in-place set mutations."""
         bid_terms = {"digital camera"}
         rewriter = QueryRewriter(self._method(), bid_terms=bid_terms).fit(fig3_graph)
-        assert rewriter.rewrites_for("camera").candidates() == ["digital camera"]
+        assert rewriter.compute_rewrites("camera").candidates() == ["digital camera"]
         bid_terms.add("tripod")
         rewriter.clear_cache()
-        assert rewriter.rewrites_for("camera").candidates() == ["digital camera", "tripod"]
+        assert rewriter.compute_rewrites("camera").candidates() == ["digital camera", "tripod"]
 
     def test_explain_candidates_traces_every_fate(self, fig3_graph):
         rewriter = QueryRewriter(

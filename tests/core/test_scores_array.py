@@ -48,6 +48,12 @@ class TestScoreLookups:
     def test_nodes_excludes_isolated_rows(self, store):
         assert sorted(store.nodes()) == ["q", "x", "y", "z"]
 
+    def test_contains_means_has_a_row(self, store):
+        assert "q" in store
+        assert "isolated" in store  # a row without stored pairs
+        assert "unknown" not in store
+        assert ["unhashable"] not in store
+
 
 class TestTop:
     def test_matches_literal_ranking(self, store):

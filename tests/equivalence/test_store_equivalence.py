@@ -7,7 +7,9 @@ bit-identical float64 scores -- to the fitted engine the store was
 exported from.  The window-function ranking inside SQLite (``ROW_NUMBER()
 OVER (... ORDER BY score DESC, repr ASC)``) must reproduce the in-memory
 ``(-score, repr(node))`` tie-break exactly, and the equivalence must hold
-under a bounded LRU serving cache and after a full ``precompute()``.
+over repeated passes and after a full ``precompute()``.  The in-memory
+reference is the fitted engine itself: its serving table must equal a
+fresh run of the filter pipeline.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from backend_matrix import CONFIGS, MODES, SCENARIOS
 from repro.api.config import EngineConfig
 from repro.api.engine import RewriteEngine
 from repro.api.registry import SIMRANK_BACKENDS
-from repro.store import InMemoryServingStore
 
 #: One multi-component scenario exercises sharding, stitching and isolated
 #: nodes in a single graph; the full scenario matrix already runs in
@@ -54,53 +55,43 @@ def test_sqlite_store_serves_identical_rewrites(method_name, backend, tmp_path):
 
 @pytest.mark.parametrize("backend", SIMRANK_BACKENDS)
 @pytest.mark.parametrize("method_name", MODES)
-def test_memory_store_serves_identical_rewrites(method_name, backend):
+def test_serving_table_serves_identical_rewrites(method_name, backend):
+    """The in-memory reference: table entries equal a fresh pipeline run."""
     engine = fitted_engine(method_name, backend)
-    served = RewriteEngine.from_store(InMemoryServingStore.from_engine(engine))
-
     queries = engine._serving_universe()
-    assert served.serving_profile(queries) == engine.serving_profile(queries)
+    engine.precompute()
+
+    pipeline = engine._rewriter.compute_rewrites
+    expected = [row for query in queries for row in pipeline(query).as_tuples()]
+    assert engine.serving_profile(queries) == expected
+    assert engine.cache_info().size <= len(engine.method.similarities().index)
 
 
-def test_store_equivalence_survives_bounded_lru_cache(tmp_path):
-    """Cache churn recomputes through the store; results must not drift."""
-    graph = SCENARIOS[SCENARIO]()
-    engine = RewriteEngine.from_graph(
-        graph,
-        EngineConfig(
-            method="weighted_simrank",
-            backend="matrix",
-            similarity=CONFIGS["floored"],
-            cache_size=3,
-        ),
-        bid_terms={str(query) for query in graph.queries()},
-    ).fit()
-    store_path = engine.export_store(tmp_path / "bounded.sqlite")
-    # from_store rebuilds the recorded config, LRU bound included.
+def test_store_backed_engine_rereads_the_store_on_every_pass(tmp_path):
+    """A store-backed engine keeps no table; repeated passes stay equal."""
+    engine = fitted_engine("weighted_simrank", "matrix")
+    store_path = engine.export_store(tmp_path / "passes.sqlite")
     served = RewriteEngine.from_store(store_path)
-    assert served.config.cache_size == 3
 
     queries = engine._serving_universe()
     expected = engine.serving_profile(queries)
-    # Two full passes force every entry through at least one eviction and
-    # one store re-read on the second sighting.
     assert served.serving_profile(queries) == expected
     assert served.serving_profile(queries) == expected
-    info = served.cache_info()
-    assert info.capacity == 3
-    assert info.evictions > 0
+    assert served.serving_store.lookups == 2 * len(queries)
+    assert served.cache_info().size == 0
 
 
 def test_store_equivalence_after_precompute(tmp_path):
-    """A full precompute() warms the store universe; serving stays equal."""
+    """precompute() fills the fitted engine's table and is a no-op on a
+    store-backed engine; both serve equal rewrites afterwards."""
     engine = fitted_engine("weighted_simrank", "sharded")
     store_path = engine.export_store(tmp_path / "precomputed.sqlite")
     served = RewriteEngine.from_store(store_path)
 
     queries = engine._serving_universe()
-    warmed = served.precompute()
-    assert warmed == len(queries)
-    lookups_after_warm = served.serving_store.lookups
+    scored = [query for query in queries if query in engine.method.similarities()]
+    assert engine.precompute() == len(scored)
+    assert served.precompute() == 0
+    assert served.serving_store.lookups == 0
     assert served.serving_profile(queries) == engine.serving_profile(queries)
-    # Every profile row came from the warmed cache, not new store reads.
-    assert served.serving_store.lookups == lookups_after_warm
+    assert engine.cache_info().hits == len(scored)

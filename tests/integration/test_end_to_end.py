@@ -86,7 +86,7 @@ def test_click_graph_drives_useful_rewrites(serving_setup, tmp_path):
     judge = EditorialJudge(workload)
     graded = []
     for query in list(graph.queries())[:30]:
-        for rewrite in rewriter.rewrites_for(query).rewrites:
+        for rewrite in rewriter.compute_rewrites(query).rewrites:
             graded.append(judge.grade(query, rewrite.rewrite))
     assert graded, "expected at least some rewrites from the simulated click graph"
     # The majority of rewrites should be at least marginally related (grade <= 3):

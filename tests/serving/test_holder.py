@@ -11,11 +11,10 @@ from repro.graph.delta import DeltaBuilder
 from repro.serving.holder import EngineHolder
 
 
-def build_engine(graph, tolerance=1e-8, cache_size=None):
+def build_engine(graph, tolerance=1e-8):
     config = EngineConfig(
         method="weighted_simrank",
         similarity=SimrankConfig(iterations=30, tolerance=tolerance),
-        cache_size=cache_size,
         bid_filtering=False,
     )
     return RewriteEngine.from_graph(graph, config).fit()

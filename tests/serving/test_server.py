@@ -15,6 +15,7 @@ from repro.api.config import EngineConfig
 from repro.api.engine import RewriteEngine
 from repro.core.config import SimrankConfig
 from repro.graph.delta import DeltaBuilder
+from repro.serving import server as server_module
 from repro.serving import (
     EngineHolder,
     RewriteServer,
@@ -26,11 +27,10 @@ from repro.serving import (
 )
 
 
-def build_engine(graph, cache_size=None, tolerance=1e-8):
+def build_engine(graph, tolerance=1e-8):
     config = EngineConfig(
         method="weighted_simrank",
         similarity=SimrankConfig(iterations=30, tolerance=tolerance),
-        cache_size=cache_size,
         bid_filtering=False,
     )
     return RewriteEngine.from_graph(graph, config).fit()
@@ -187,6 +187,29 @@ class TestStatsCardinality:
         assert stats["requests"]["by_status"]["404"] == 300
 
 
+    def test_unknown_query_flood_leaves_the_table_within_the_score_rows(self, engine):
+        """Regression: every distinct query string off the wire used to get
+        a serving-cache entry, so random traffic grew it without bound."""
+        unknown = [f"unknown-{i:05d}" for i in range(10_000)]
+
+        async def scenario():
+            async with RewriteServer(EngineHolder(engine)) as server:
+                host, port = server.address
+                for start in range(0, len(unknown), 2_000):
+                    batch = unknown[start:start + 2_000] + ["camera"]
+                    status, _ = await request_once(
+                        host, port, "POST", "/rewrite_batch", {"queries": batch}
+                    )
+                    assert status == 200
+                return await request_once(host, port, "GET", "/stats")
+
+        status, stats = run(scenario())
+        assert status == 200
+        cache = stats["engine"]["cache"]
+        assert 1 <= cache["size"] <= len(engine.method.similarities().index)
+        assert cache["misses"] >= len(unknown)
+
+
 class TestErrors:
     def test_unknown_endpoint_404(self, engine):
         async def scenario():
@@ -313,6 +336,57 @@ class TestMalformedFraming:
         async def scenario():
             async with RewriteServer(EngineHolder(engine)) as server:
                 return await raw_exchange(server.address, request)
+
+        head = run(scenario()).split(b"\r\n\r\n", 1)[0].decode("latin-1")
+        assert head.startswith("HTTP/1.1 200 ")
+
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"POST /rewrite HTTP/1.1\r\nContent-Length: 20\r\n",
+            b'POST /rewrite HTTP/1.1\r\nContent-Length: 20\r\n\r\n{"query": ',
+        ],
+        ids=["headers-stalled", "body-stalled"],
+    )
+    def test_stalled_request_answers_408_then_next_connection_served(
+        self, engine, monkeypatch, partial
+    ):
+        """Once the request line has arrived, headers and body must follow
+        within the read deadline; a stalled client gets 408 and EOF."""
+        monkeypatch.setattr(server_module, "_REQUEST_READ_TIMEOUT_S", 0.2)
+
+        async def scenario():
+            async with RewriteServer(EngineHolder(engine)) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                writer.write(partial)
+                await writer.drain()
+                # EOF within the timeout proves the server closed the connection.
+                response = await asyncio.wait_for(reader.read(), timeout=10)
+                writer.close()
+                health = await request_once(*server.address, "GET", "/healthz")
+                return response, health
+
+        response, (status, health) = run(scenario())
+        head = response.split(b"\r\n\r\n", 1)[0].decode("latin-1")
+        assert head.startswith("HTTP/1.1 408 Request Timeout")
+        assert "Connection: close" in head
+        assert status == 200 and health["fitted"] is True
+
+    def test_idle_keep_alive_wait_is_not_bounded(self, engine, monkeypatch):
+        """The deadline starts at the request line: a connection idle past it
+        between requests (as the load generator's are) is still served."""
+        monkeypatch.setattr(server_module, "_REQUEST_READ_TIMEOUT_S", 0.2)
+
+        async def scenario():
+            async with RewriteServer(EngineHolder(engine)) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                await asyncio.sleep(0.5)
+                writer.write(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                await writer.drain()
+                response = await asyncio.wait_for(reader.read(), timeout=10)
+                writer.close()
+                return response
 
         head = run(scenario()).split(b"\r\n\r\n", 1)[0].decode("latin-1")
         assert head.startswith("HTTP/1.1 200 ")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sqlite3
 
 import pytest
@@ -11,7 +12,6 @@ from repro.api.engine import RewriteEngine
 from repro.core.config import SimrankConfig
 from repro.store import (
     STORE_FORMAT_VERSION,
-    InMemoryServingStore,
     SqliteServingStore,
     StoreError,
 )
@@ -98,6 +98,25 @@ class TestSqliteStore:
         with SqliteServingStore(store_path) as store:
             assert store.engine_config() == engine.config.to_dict()
 
+    def test_2_0_store_recording_cache_size_still_loads(self, engine, store_path):
+        """1.x/2.0 exports record the removed ``cache_size`` config key."""
+        connection = sqlite3.connect(store_path)
+        with connection:
+            (payload,) = connection.execute(
+                "SELECT value FROM meta WHERE key = 'engine_config'"
+            ).fetchone()
+            recorded = dict(json.loads(payload), cache_size=256)
+            connection.execute(
+                "UPDATE meta SET value = ? WHERE key = 'engine_config'",
+                (json.dumps(recorded),),
+            )
+        connection.close()
+
+        served = RewriteEngine.from_store(store_path)
+        assert served.config == engine.config
+        queries = engine._serving_universe() + ["unknown"]
+        assert served.serving_profile(queries) == engine.serving_profile(queries)
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(StoreError, match="not a file"):
             SqliteServingStore(tmp_path / "nope.sqlite")
@@ -173,33 +192,3 @@ class TestExport:
         assert served.serving_profile(queries) == engine.serving_profile(queries)
         with pytest.raises(KeyError):
             snapshots.materialize("unknown", tmp_path / "nope.sqlite")
-
-
-class TestInMemoryStore:
-    def test_from_engine_matches_live_serving(self, engine):
-        store = InMemoryServingStore.from_engine(engine)
-        assert store.kind == "memory"
-        for query in engine._serving_universe():
-            assert (
-                store.rewrites(query).as_tuples()
-                == engine.rewrite(query).as_tuples()
-            )
-
-    def test_unfitted_engine_rejected(self):
-        with pytest.raises(StoreError, match="unfitted"):
-            InMemoryServingStore.from_engine(RewriteEngine(EngineConfig()))
-
-    def test_top_k_and_counters(self, engine):
-        store = InMemoryServingStore.from_engine(engine)
-        full = store.rewrites("camera")
-        assert store.rewrites("camera", k=1).rewrites == full.rewrites[:1]
-        assert store.lookups == 2
-
-    def test_universe_contains_and_close(self, engine):
-        store = InMemoryServingStore.from_engine(engine)
-        assert store.queries() == engine._serving_universe()
-        assert "camera" in store
-        assert ["unhashable"] not in store
-        store.close()
-        with pytest.raises(StoreError, match="closed"):
-            store.rewrites("camera")

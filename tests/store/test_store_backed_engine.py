@@ -35,27 +35,37 @@ def served(engine, tmp_path):
 
 
 class TestStoreBackedServing:
-    def test_serves_through_the_lru_cache(self, engine, served):
+    def test_every_lookup_reads_the_store(self, engine, served):
         assert served.rewrite("camera") == engine.rewrite("camera")
         assert served.rewrite("camera") == engine.rewrite("camera")
         info = served.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
-        # The second call was a cache hit: one store lookup total.
-        assert served.serving_store.lookups == 1
+        # No serving table: both calls are store lookups.
+        assert (info.hits, info.misses, info.size) == (0, 2, 0)
+        assert served.serving_store.lookups == 2
 
     def test_expansions_and_batch(self, engine, served):
         assert served.expansions("camera") == engine.expansions("camera")
         batch = ["camera", "pc", "camera"]
         assert served.rewrite_batch(batch) == engine.rewrite_batch(batch)
 
+    def test_unhashable_queries_serve_what_the_fitted_engine_serves(
+        self, engine, served
+    ):
+        """The ServingStore contract: unknown input answers an empty list,
+        matching the fitted engine."""
+        queries = [["camera"], "camera", ["camera"]]
+        assert served.rewrite(["camera"]) == engine.rewrite(["camera"])
+        assert served.rewrite_batch(queries) == engine.rewrite_batch(queries)
+        assert served.serving_profile(queries) == engine.serving_profile(queries)
+
     def test_is_fitted_and_repr(self, served):
         assert served.is_fitted
         assert "store-backed (sqlite)" in repr(served)
 
-    def test_precompute_warms_store_universe(self, served):
-        warmed = served.precompute()
-        assert warmed == len(served.serving_store.queries())
-        assert served.cache_info().size == warmed
+    def test_precompute_is_a_no_op_without_a_table(self, served):
+        assert served.precompute() == 0
+        assert served.cache_info().size == 0
+        assert served.serving_store.lookups == 0
 
     def test_from_store_rebuilds_recorded_config(self, engine, served):
         assert served.config.to_dict() == engine.config.to_dict()

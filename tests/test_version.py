@@ -26,3 +26,19 @@ def test_removed_shims_stay_removed():
     assert not hasattr(repro.serving, "load_engine_with_fallback")
     for module in ("repro.core.scores", "repro.core.registry"):
         assert importlib.util.find_spec(module) is None
+
+
+def test_removed_cache_layers_stay_removed():
+    import dataclasses
+
+    import repro.store
+    from repro.api.config import EngineConfig
+    from repro.api.engine import CacheInfo
+    from repro.core.rewriter import QueryRewriter
+
+    assert "cache_size" not in {field.name for field in dataclasses.fields(EngineConfig)}
+    assert {field.name for field in dataclasses.fields(CacheInfo)} == {"hits", "misses", "size"}
+    assert not hasattr(QueryRewriter, "rewrites_for")
+    for package in (repro, repro.store):
+        assert not hasattr(package, "InMemoryServingStore")
+    assert importlib.util.find_spec("repro.store.memory") is None
